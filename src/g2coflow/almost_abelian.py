@@ -185,12 +185,19 @@ class SymbolQ:
         return _blockdiag(self.Qh, self.q)
 
 
-def q_matrix(A: np.ndarray, data: G2Data) -> SymbolQ:
-    """Qh = (1/2)[A,A^t] + (1/2) S o6 S, q = -(1/2) tr S^2 - (1/4)(tr JA)^2."""
-    A = require_sp(A, data)
+def _laplacian_symbol(A: np.ndarray, data: G2Data) -> tuple[np.ndarray, float]:
+    """(Qh, q) of q_matrix without the sp(R^6) gate: the flow right-hand
+    sides call this on every evaluation, with the bracket already checked
+    once at the start."""
     S = 0.5 * (A + A.T)
     Qh = 0.5 * (A @ A.T - A.T @ A) + 0.5 * circ6(S, S, data)
     q = -0.5 * float(np.trace(S @ S)) - 0.25 * float(np.trace(data.J @ A)) ** 2
+    return Qh, q
+
+
+def q_matrix(A: np.ndarray, data: G2Data) -> SymbolQ:
+    """Qh = (1/2)[A,A^t] + (1/2) S o6 S, q = -(1/2) tr S^2 - (1/4)(tr JA)^2."""
+    Qh, q = _laplacian_symbol(require_sp(A, data), data)
     return SymbolQ(Qh=Qh, q=q)
 
 

@@ -20,9 +20,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .almost_abelian import q_matrix, require_sp, scalar_diagnostics
+from .almost_abelian import (
+    SymbolQ,
+    _laplacian_symbol,
+    require_sp,
+    scalar_diagnostics,
+)
 from .exterior import KForm, form_norm, pullback
-from .g2 import G2Data
+from .g2 import G2Data, circ6
 from .metric_lie import DIM, hodge_laplacian
 
 __all__ = [
@@ -93,13 +98,12 @@ class FlowTrace:
     meta: dict = field(repr=False)
 
 
-def _rhs_raw(A: np.ndarray, data: G2Data) -> np.ndarray:
-    from .g2 import circ6
-
-    S = 0.5 * (A + A.T)
-    Qh = 0.5 * (A @ A.T - A.T @ A) + 0.5 * circ6(S, S, data)
-    q = -0.5 * float(np.trace(S @ S)) - 0.25 * float(np.trace(data.J @ A)) ** 2
+def _bracket_rhs(A: np.ndarray, Qh: np.ndarray, q: float) -> np.ndarray:
     return q * A - (Qh @ A - A @ Qh)
+
+
+def _rhs_raw(A: np.ndarray, data: G2Data) -> np.ndarray:
+    return _bracket_rhs(A, *_laplacian_symbol(A, data))
 
 
 def rhs(A: np.ndarray, data: G2Data) -> np.ndarray:
@@ -110,8 +114,6 @@ def rhs(A: np.ndarray, data: G2Data) -> np.ndarray:
 def norm_derivative(A: np.ndarray, data: G2Data) -> float:
     """d/dt |A|^2 = -(|S|^2 + (1/2)(tr JA)^2)|A|^2 - |[A,A^t]|^2
     - <S o6 S, [A,A^t]>; always <= 0, zero exactly on su(3)."""
-    from .g2 import circ6
-
     A = require_sp(A, data)
     S = 0.5 * (A + A.T)
     comm = A @ A.T - A.T @ A
@@ -259,9 +261,9 @@ def scalar_bound_check(trace: FlowTrace, slack: float = 1e-9) -> dict:
 def _joint_rhs(y: np.ndarray, data: G2Data) -> np.ndarray:
     A = y[:36].reshape(6, 6)
     h = y[36:].reshape(DIM, DIM)
-    dA = _rhs_raw(A, data)
-    Q = q_matrix(A, data).Q
-    return np.concatenate([dA.ravel(), (-Q @ h).ravel()])
+    Qh, q = _laplacian_symbol(A, data)
+    Q = SymbolQ(Qh=Qh, q=q).Q
+    return np.concatenate([_bracket_rhs(A, Qh, q).ravel(), (-Q @ h).ravel()])
 
 
 def reconstruct_h(

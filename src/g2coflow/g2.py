@@ -136,6 +136,7 @@ def g2_data_from_pair(omega: KForm, rho_plus: KForm, convention: str) -> G2Data:
         Omega[i, j] = c
         Omega[j, i] = -c
     J = Omega.T  # omega_{ij} = <J e_i, e_j>
+    J.setflags(write=False)
     J7 = np.zeros((DIM, DIM))
     J7[:6, :6] = J
     rho_minus = pullback(J7, rho_plus)
@@ -160,13 +161,23 @@ def g2_data_from_pair(omega: KForm, rho_plus: KForm, convention: str) -> G2Data:
     return data
 
 
+_CANONICAL: dict[str, G2Data] = {}
+
+
 def canonical_g2(convention: str = "section4") -> G2Data:
-    """The two shipped bases: "section4" and "example"."""
+    """The two shipped bases: "section4" and "example".
+
+    Each is built once per process; later calls return the same immutable
+    G2Data.
+    """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}, expected {CONVENTIONS}")
-    omega = from_terms(DIM, 2, _OMEGA_TERMS[convention])
-    rho_plus = from_terms(DIM, 3, _RHO_PLUS_TERMS[convention])
-    return g2_data_from_pair(omega, rho_plus, convention)
+    data = _CANONICAL.get(convention)
+    if data is None:
+        omega = from_terms(DIM, 2, _OMEGA_TERMS[convention])
+        rho_plus = from_terms(DIM, 3, _RHO_PLUS_TERMS[convention])
+        data = _CANONICAL[convention] = g2_data_from_pair(omega, rho_plus, convention)
+    return data
 
 
 def _symmetric(h: np.ndarray, name: str) -> np.ndarray:
@@ -213,11 +224,17 @@ def circ(h: np.ndarray, k: np.ndarray, data: G2Data) -> np.ndarray:
 
 
 def circ6(s: np.ndarray, t: np.ndarray, data: G2Data) -> np.ndarray:
-    """Six-dimensional product (s o6 t)_{ab} = s_{mn} t_{pq} rho+_{mpa} rho+_{nqb}."""
-    r = data.rho_plus.dense()[:6, :6, :6]
+    """Six-dimensional product (s o6 t)_{ab} = s_{mn} t_{pq} rho+_{mpa} rho+_{nqb}.
+
+    Evaluated as R^t (s (x) t) R with R = rho+ reshaped to 36x6 (rows (m, p),
+    column a) and (s (x) t)_{(m,p),(n,q)} = s_{mn} t_{pq}, i.e. two small
+    matrix products.
+    """
+    R = data.rho_plus.dense()[:6, :6, :6].reshape(36, 6)
     s = np.asarray(s, dtype=float).reshape(6, 6)
     t = np.asarray(t, dtype=float).reshape(6, 6)
-    return np.einsum("mn,pq,mpa,nqb->ab", s, t, r, r)
+    K = (s[:, None, :, None] * t[None, :, None, :]).reshape(36, 36)
+    return R.T @ K @ R
 
 
 @dataclass(frozen=True)

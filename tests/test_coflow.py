@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from g2coflow.almost_abelian import random_sp, random_su3, sp_check
+from g2coflow import coflow
+from g2coflow.almost_abelian import q_matrix, random_sp, random_su3, sp_check
 from g2coflow.coflow import (
     FlowTrace,
     IntegrationError,
@@ -18,7 +19,7 @@ from g2coflow.coflow import (
     scalar_bound_check,
     write_trace_csv,
 )
-from g2coflow.g2 import canonical_g2
+from g2coflow.g2 import CONVENTIONS, canonical_g2
 from g2coflow.soliton import load_example
 
 rng = np.random.default_rng(20240820)
@@ -47,6 +48,26 @@ def test_rhs_tangent_to_sp_and_norm_derivative():
         scale = max(1.0, abs(closed))
         assert abs(two_route - closed) < 1e-10 * scale
         assert closed <= 1e-12
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_joint_rhs_shares_one_symbol(convention):
+    data = canonical_g2(convention)
+    for _ in range(5):
+        A = random_sp(rng, data)
+        h = rng.standard_normal((7, 7))
+        out = coflow._joint_rhs(np.concatenate([A.ravel(), h.ravel()]), data)
+        assert np.max(np.abs(out[:36].reshape(6, 6) - rhs(A, data))) < 1e-14
+        expected_dh = -q_matrix(A, data).Q @ h
+        assert np.max(np.abs(out[36:].reshape(7, 7) - expected_dh)) < 1e-14
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_canonical_structure_is_shared_and_read_only(convention):
+    data = canonical_g2(convention)
+    assert canonical_g2(convention) is data
+    with pytest.raises(ValueError):
+        data.J[0, 0] = 1.0
 
 
 def test_su3_is_a_fixed_point():

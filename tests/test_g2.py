@@ -148,6 +148,27 @@ def test_circ_restriction_to_ideal():
 
 
 @pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_circ6_matches_defining_contraction(convention, symmetric):
+    data = canonical_g2(convention)
+    r = data.rho_plus.dense()[:6, :6, :6]
+    for _ in range(5):
+        s = rng.standard_normal((6, 6))
+        t = rng.standard_normal((6, 6))
+        if symmetric:
+            s, t = s + s.T, t + t.T
+        st = circ6(s, t, data)
+        expected = np.einsum("mn,pq,mpa,nqb->ab", s, t, r, r)
+        assert np.max(np.abs(st - expected)) < 1e-13
+        # rho+ is alternating, so o6 commutes and transposes slotwise:
+        # (s o6 t)^t = s^t o6 t^t, which is t o6 s for symmetric s and t.
+        assert np.max(np.abs(st - circ6(t, s, data))) < 1e-13
+        assert np.max(np.abs(st.T - circ6(s.T, t.T, data))) < 1e-13
+        if symmetric:
+            assert np.max(np.abs(st.T - circ6(t, s, data))) < 1e-13
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
 def test_decompose_assemble_round_trip(convention):
     data = canonical_g2(convention)
     xi = KForm(7, 4, rng.standard_normal(35))
