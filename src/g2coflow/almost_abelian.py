@@ -188,10 +188,12 @@ class SymbolQ:
 def _laplacian_symbol(A: np.ndarray, data: G2Data) -> tuple[np.ndarray, float]:
     """(Qh, q) of q_matrix without the sp(R^6) gate: the flow right-hand
     sides call this on every evaluation, with the bracket already checked
-    once at the start."""
-    S = 0.5 * (A + A.T)
-    Qh = 0.5 * (A @ A.T - A.T @ A) + 0.5 * circ6(S, S, data)
-    q = -0.5 * float(np.trace(S @ S)) - 0.25 * float(np.trace(data.J @ A)) ** 2
+    once at the start. Traces are inner products: tr S^2 = <S, S> for
+    symmetric S and tr JA = <J, A^t>."""
+    At = A.T
+    S = 0.5 * (A + At)
+    Qh = 0.5 * (A @ At - At @ A + circ6(S, S, data))
+    q = -0.5 * float(np.vdot(S, S)) - 0.25 * float(np.vdot(data.J, At)) ** 2
     return Qh, q
 
 
@@ -207,6 +209,27 @@ def ricci_closed(A: np.ndarray, data: G2Data) -> tuple[np.ndarray, float]:
     S = 0.5 * (A + A.T)
     tr_ssq = float(np.trace(S @ S))
     return _blockdiag(0.5 * (A @ A.T - A.T @ A), -tr_ssq), -tr_ssq
+
+
+def _scalar_diagnostics_batch(
+    As: np.ndarray, data: G2Data
+) -> tuple[np.ndarray, np.ndarray]:
+    """R and |T|^2 of scalar_diagnostics for a stack of brackets (n, 6, 6),
+    with the same bookkeeping cross-check; no sp gate (the flow samples
+    are gated on their symplectic drift instead)."""
+    J = data.J
+    S = 0.5 * (As + np.swapaxes(As, 1, 2))
+    comm = J @ As - As @ J
+    tr_ja = np.einsum("ij,nji->n", J, As)
+    R = -np.einsum("nij,nij->n", S, S)
+    # |T|^2 for T = blockdiag((1/2)[J,A], (1/2) tr JA)
+    torsion_sq = 0.25 * (np.einsum("nij,nij->n", comm, comm) + tr_ja**2)
+    gap = np.abs(R - (0.25 * tr_ja**2 - torsion_sq))
+    if np.any(gap > 1e-9 * np.maximum(1.0, np.abs(R))):
+        raise AssertionError(
+            f"scalar curvature bookkeeping drifted by {float(np.max(gap)):.3e}"
+        )
+    return R, torsion_sq
 
 
 def scalar_diagnostics(A: np.ndarray, data: G2Data) -> dict[str, float]:

@@ -6,25 +6,28 @@ geometric solution is recovered from the endomorphism flow dh/dt = -Q_A h
 with h(0) = I: psi(t) = pullback(h(t), psi) solves d/dt psi = Delta psi,
 and A(t) = a(t)^{-1} k(t) A(0) k(t)^{-1} for h = blockdiag(k, a).
 
-Integration uses an adaptive Dormand-Prince 5(4) pair (scipy's RK45). No
-structure projection is performed: symplectic drift is monitored as an
-integrator health check and aborts the run beyond the configured
-tolerance, so an accuracy bug cannot hide behind a re-projection.
+Integration uses an in-house adaptive Dormand-Prince 5(4) pair, _dopri,
+whose step control follows scipy's RK45 exactly (same initial step, error
+norm and step factors, so the same accepted steps). No structure
+projection is performed: symplectic drift is checked at every accepted
+step as an integrator health check and aborts the run beyond the
+configured tolerance, so an accuracy bug cannot hide behind a
+re-projection.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .almost_abelian import (
-    SymbolQ,
     _laplacian_symbol,
+    _scalar_diagnostics_batch,
     require_sp,
-    scalar_diagnostics,
 )
 from .exterior import KForm, form_norm, pullback
 from .g2 import G2Data, circ6
@@ -98,6 +101,214 @@ class FlowTrace:
     meta: dict = field(repr=False)
 
 
+# Dormand-Prince 5(4) tableau with Shampine's quartic dense output
+# (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4-II.6), written as in
+# scipy's RK45 so the floating-point step sequence is the same.
+_DP_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
+_DP_A = np.array(
+    [
+        [0, 0, 0, 0, 0],
+        [1 / 5, 0, 0, 0, 0],
+        [3 / 40, 9 / 40, 0, 0, 0],
+        [44 / 45, -56 / 15, 32 / 9, 0, 0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    ]
+)
+_DP_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = np.array(
+    [-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40]
+)
+_DP_P = np.array(
+    [
+        [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+         -12715105075 / 11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+         87487479700 / 32700410799],
+        [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+         -10690763975 / 1880347072],
+        [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+         701980252875 / 199316789632],
+        [0, -282668133 / 205662961, 2019193451 / 616988883,
+         -1453857185 / 822651844],
+        [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+    ]
+)
+_DP_STAGES = [(_DP_A[s, :s], _DP_C[s]) for s in range(1, 6)]
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1 / 5  # the error estimate is of order 4
+_EPS = float(np.finfo(float).eps)
+_MESSAGES = {
+    0: "The solver successfully reached the end of the integration interval.",
+    1: "A termination event occurred.",
+    -1: "Required step size is less than spacing between numbers.",
+}
+
+
+class _Solution(NamedTuple):
+    t: np.ndarray
+    y: np.ndarray  # one row per sample
+    nfev: int
+    status: int  # 0 reached t_bound, 1 stopped by the event, -1 step underflow
+    message: str
+
+
+def _rms(x: np.ndarray) -> float:
+    return math.sqrt(x.dot(x)) / x.size**0.5
+
+
+def _initial_step(fun, t0, y0, f0, t_bound, max_step, direction, rtol, atol):
+    """Hairer's starting-step rule (Solving ODEs I, Sec. II.4)."""
+    interval = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval, max_step)
+
+
+def _interpolate(K: np.ndarray, t_old: float, h: float, y_old: np.ndarray, t):
+    """Quartic interpolant of the step from t_old to t_old + h at t (a
+    scalar, or a 1-D array giving one row per point)."""
+    x = (np.asarray(t, dtype=float) - t_old) / h
+    p = np.cumprod(np.multiply.outer(np.ones(4), x), axis=0)
+    return (h * ((K.T @ _DP_P) @ p)).T + y_old
+
+
+def _dopri(
+    fun: Callable[[float, np.ndarray], np.ndarray],
+    t0: float,
+    y0: np.ndarray,
+    t_bound: float,
+    rtol: float,
+    atol: float,
+    max_step: float = np.inf,
+    t_eval: np.ndarray | None = None,
+    event: Callable[[float, np.ndarray], float] | None = None,
+    check: Callable[[float, np.ndarray], None] | None = None,
+) -> _Solution:
+    """Adaptive Dormand-Prince 5(4) integration of dy/dt = fun(t, y).
+
+    Step control is scipy's RK45: Hairer's initial step, RMS error norm
+    over atol + rtol max(|y|, |y_new|), safety 0.9, step factors in
+    [0.2, 10], no growth right after a rejection, and a floor of ten ulps
+    of t. Samples are the accepted steps, or the dense output at t_eval
+    (ordered in the direction of integration). check(t, y) runs at every
+    accepted step and may raise. event(t, y) is terminal: when it changes
+    sign over a step, its root on the step's interpolant is located by
+    bisection and becomes the last sample.
+    """
+    rtol = max(rtol, 100 * _EPS)
+    direction = 1.0 if t_bound >= t0 else -1.0
+    t = float(t0)
+    y = np.array(y0, dtype=float)
+    f = fun(t, y)
+    nfev = 1
+    if t == t_bound:
+        h_abs = 0.0
+    else:
+        h_abs = _initial_step(fun, t, y, f, t_bound, max_step, direction, rtol, atol)
+        nfev += 1
+    K = np.empty((7, y.size))
+    if t_eval is None:
+        ts, ys = [t], [y]
+    else:
+        t_eval = np.asarray(t_eval, dtype=float)
+        ahead = direction * t_eval
+        i_eval = 0
+        ts, ys = [], []
+    g = event(t, y) if event is not None else 0.0
+    status = 0
+    while direction * (t - t_bound) < 0:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = min(max(h_abs, min_step), max_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                status = -1
+                break
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s, (a, c) in enumerate(_DP_STAGES, start=1):
+                K[s] = fun(t + c * h, y + np.dot(K[:s].T, a) * h)
+            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+            f_new = K[-1] = fun(t_new, y_new)
+            nfev += 6
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _DP_E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+            rejected = True
+        if status == -1:
+            break
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        if check is not None:
+            check(t, y)
+        if event is not None:
+            g_new = event(t, y)
+            if (g <= 0 <= g_new) or (g >= 0 >= g_new):
+                t = _event_root(event, K, t_old, t, y_old, g)
+                y = _interpolate(K, t_old, h, y_old, t)
+                status = 1
+            g = g_new
+        if t_eval is None:
+            ts.append(t)
+            ys.append(y)
+        else:
+            i_new = int(np.searchsorted(ahead, direction * t, side="right"))
+            if i_new > i_eval:
+                ts.append(t_eval[i_eval:i_new])
+                ys.append(_interpolate(K, t_old, h, y_old, t_eval[i_eval:i_new]))
+                i_eval = i_new
+        if status == 1:
+            break
+    if t_eval is None:
+        t_out, y_out = np.array(ts), np.array(ys)
+    elif ts:
+        t_out, y_out = np.concatenate(ts), np.concatenate(ys)
+    else:
+        t_out, y_out = np.empty(0), np.empty((0, y.size))
+    return _Solution(t_out, y_out, nfev, status, _MESSAGES[status])
+
+
+def _event_root(event, K, t_old, t_new, y_old, g_old) -> float:
+    """Bisection for the event's sign change on the interpolant of the step
+    from t_old to t_new, down to adjacent floating-point times; returns the
+    end past the root."""
+    h = t_new - t_old
+    a, b, ga = t_old, t_new, g_old
+    while True:
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            return b
+        gm = event(m, _interpolate(K, t_old, h, y_old, m))
+        if (ga <= 0) == (gm <= 0):
+            a, ga = m, gm
+        else:
+            b = m
+
+
 def _bracket_rhs(A: np.ndarray, Qh: np.ndarray, q: float) -> np.ndarray:
     return q * A - (Qh @ A - A @ Qh)
 
@@ -141,45 +352,35 @@ def integrate(A0: np.ndarray, opts: IntegratorOptions, data: G2Data) -> FlowTrac
     def fun(t: float, y: np.ndarray) -> np.ndarray:
         return _rhs_raw(y.reshape(6, 6), data).ravel()
 
-    def drift_event(t: float, y: np.ndarray) -> float:
-        return _sp_drift(y.reshape(6, 6), J) - opts.sp_drift_tol
+    def drift_gate(t: float, y: np.ndarray) -> None:
+        drift = _sp_drift(y.reshape(6, 6), J)
+        if drift > opts.sp_drift_tol:
+            raise IntegrationError(
+                f"symplectic drift {drift:.3e} exceeded {opts.sp_drift_tol:g} "
+                f"at t = {t:.6g}"
+            )
 
-    drift_event.terminal = True
-
-    def ceiling_event(t: float, y: np.ndarray) -> float:
-        return float(np.linalg.norm(y)) - opts.norm_ceiling
-
-    ceiling_event.terminal = True
+    def ceiling(t: float, y: np.ndarray) -> float:
+        return math.sqrt(y.dot(y)) - opts.norm_ceiling
 
     backward = opts.direction == "backward"
-    t1 = -opts.t_end if backward else opts.t_end
-    events = [drift_event] + ([ceiling_event] if backward else [])
-    sol = solve_ivp(
+    sol = _dopri(
         fun,
-        (0.0, t1),
+        0.0,
         A0.ravel(),
-        method="RK45",
-        rtol=opts.rel_tol,
-        atol=opts.abs_tol,
+        -opts.t_end if backward else opts.t_end,
+        opts.rel_tol,
+        opts.abs_tol,
         max_step=opts.max_step,
-        events=events,
-        dense_output=False,
+        event=ceiling if backward else None,
+        check=drift_gate,
     )
     if sol.status == -1:
         raise IntegrationError(f"step-size underflow: {sol.message}")
+    termination = "norm_ceiling" if sol.status == 1 else "t_end"
 
     ts = sol.t
-    ys = sol.y.T.reshape(-1, 6, 6)
-    termination = "t_end"
-    if sol.status == 1:
-        hit_drift = len(sol.t_events[0]) > 0
-        if hit_drift:
-            raise IntegrationError(
-                "symplectic drift exceeded "
-                f"{opts.sp_drift_tol:g} at t = {sol.t_events[0][0]:.6g}"
-            )
-        termination = "norm_ceiling"
-
+    ys = sol.y.reshape(-1, 6, 6)
     if backward:
         ts = ts[::-1]
         ys = ys[::-1]
@@ -187,16 +388,11 @@ def integrate(A0: np.ndarray, opts: IntegratorOptions, data: G2Data) -> FlowTrac
     steps = np.concatenate([[0.0], diffs])
 
     norm_sq = np.einsum("nij,nij->n", ys, ys)
-    R = np.empty(len(ts))
-    torsion_sq = np.empty(len(ts))
-    max_drift = 0.0
-    for i, A in enumerate(ys):
-        diag = scalar_diagnostics(A, data)
-        R[i] = diag["R"]
-        torsion_sq[i] = diag["torsionNormSq"]
-        max_drift = max(max_drift, _sp_drift(A, J))
+    R, torsion_sq = _scalar_diagnostics_batch(ys, data)
     # sp(R^6) is a linear subspace and the rhs is tangent to it, so the
-    # samples stay symplectic to rounding; the gate catches anything else.
+    # samples stay symplectic to rounding; the gate catches anything else,
+    # the start and an event-located end sample included.
+    max_drift = float(np.max(np.abs(ys @ J + J @ np.swapaxes(ys, 1, 2))))
     if max_drift > opts.sp_drift_tol:
         raise IntegrationError(
             f"symplectic drift {max_drift:.3e} exceeded {opts.sp_drift_tol:g}"
@@ -207,9 +403,9 @@ def integrate(A0: np.ndarray, opts: IntegratorOptions, data: G2Data) -> FlowTrac
         "convention": data.convention,
         "termination": termination,
         "solver": "rk45",
-        "status": int(sol.status),
-        "message": str(sol.message),
-        "nfev": int(sol.nfev),
+        "status": sol.status,
+        "message": sol.message,
+        "nfev": sol.nfev,
         "samples": int(len(ts)),
         "min_accepted_step": float(np.min(np.abs(diffs))) if len(diffs) else 0.0,
         "max_sp_drift": max_drift,
@@ -262,8 +458,13 @@ def _joint_rhs(y: np.ndarray, data: G2Data) -> np.ndarray:
     A = y[:36].reshape(6, 6)
     h = y[36:].reshape(DIM, DIM)
     Qh, q = _laplacian_symbol(A, data)
-    Q = SymbolQ(Qh=Qh, q=q).Q
-    return np.concatenate([_bracket_rhs(A, Qh, q).ravel(), (-Q @ h).ravel()])
+    out = np.empty_like(y)
+    out[:36] = _bracket_rhs(A, Qh, q).ravel()
+    # -Q h for Q = blockdiag(Qh, q), block by block
+    dh = out[36:].reshape(DIM, DIM)
+    dh[:6] = -Qh @ h[:6]
+    dh[6] = -q * h[6]
+    return out
 
 
 def reconstruct_h(
@@ -284,19 +485,12 @@ def reconstruct_h(
     ts = trace.ts[::-1] if backward else trace.ts
     A0 = trace.As[-1 if backward else 0]
     y0 = np.concatenate([A0.ravel(), np.eye(DIM).ravel()])
-    sol = solve_ivp(
-        lambda t, y: _joint_rhs(y, data),
-        (ts[0], ts[-1]),
-        y0,
-        method="RK45",
-        rtol=rel_tol,
-        atol=abs_tol,
-        t_eval=ts,
-        dense_output=False,
+    sol = _dopri(
+        lambda t, y: _joint_rhs(y, data), ts[0], y0, ts[-1], rel_tol, abs_tol, t_eval=ts
     )
     if sol.status != 0:
         raise IntegrationError(f"h-reconstruction failed: {sol.message}")
-    hs = sol.y[36:].T.reshape(-1, DIM, DIM)
+    hs = sol.y[:, 36:].reshape(-1, DIM, DIM)
     return hs[::-1] if backward else hs
 
 
@@ -338,19 +532,13 @@ def coflow_pde_residuals(
     if min(needed) < 0:
         raise ValueError("times must exceed the largest dt")
     y0 = np.concatenate([A0.ravel(), np.eye(DIM).ravel()])
-    sol = solve_ivp(
-        lambda t, y: _joint_rhs(y, data),
-        (0.0, max(needed)),
-        y0,
-        method="RK45",
-        rtol=rel_tol,
-        atol=abs_tol,
-        t_eval=needed,
-        dense_output=False,
+    sol = _dopri(
+        lambda t, y: _joint_rhs(y, data), 0.0, y0, max(needed), rel_tol, abs_tol,
+        t_eval=np.array(needed),
     )
     if sol.status != 0:
         raise IntegrationError(f"pde-check integration failed: {sol.message}")
-    h_at = {t: sol.y[36:, i].reshape(DIM, DIM) for i, t in enumerate(needed)}
+    h_at = {t: sol.y[i, 36:].reshape(DIM, DIM) for i, t in enumerate(needed)}
 
     def psi_at(t: float) -> KForm:
         return pullback(h_at[t], data.psi)
@@ -376,16 +564,20 @@ _CSV_COLUMNS = (
 
 def write_trace_csv(trace: FlowTrace, path: str) -> None:
     """Deterministic CSV (17 significant digits) plus a .meta.json sidecar."""
-    lines = [",".join(_CSV_COLUMNS)]
-    for i in range(len(trace.ts)):
-        row = (
-            [trace.ts[i]]
-            + list(trace.As[i].ravel())
-            + [trace.norm_sq[i], trace.R[i], trace.torsion_sq[i], trace.steps[i]]
-        )
-        lines.append(",".join(f"{x:.17g}" for x in row))
+    table = np.column_stack(
+        [
+            trace.ts,
+            trace.As.reshape(len(trace.ts), 36),
+            trace.norm_sq,
+            trace.R,
+            trace.torsion_sq,
+            trace.steps,
+        ]
+    )
+    row = ",".join(["%.17g"] * len(_CSV_COLUMNS)) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(_CSV_COLUMNS) + "\n")
+        fh.write((row * len(table)) % tuple(table.ravel().tolist()))
     with open(_meta_path(path), "w") as fh:
         json.dump(trace.meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -62,6 +62,56 @@ def perm_sign(seq) -> int:
     return sign
 
 
+def _flat_index(n: int, idx) -> int:
+    flat = 0
+    for i in idx:
+        flat = flat * n + i
+    return flat
+
+
+@lru_cache(maxsize=None)
+def _increasing_flat(n: int, k: int) -> np.ndarray:
+    """Flat index into an (n,)*k array of each increasing multi-index."""
+    out = np.array([_flat_index(n, idx) for idx in multi_indices(n, k)], dtype=np.intp)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _dense_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flat index, coefficient position, sign) over every permutation of
+    every increasing multi-index: the scatter that builds KForm.dense."""
+    flat, pos, sign = [], [], []
+    for p, idx in enumerate(multi_indices(n, k)):
+        for perm in itertools.permutations(idx):
+            flat.append(_flat_index(n, perm))
+            pos.append(p)
+            sign.append(perm_sign(perm))
+    out = (
+        np.array(flat, dtype=np.intp),
+        np.array(pos, dtype=np.intp),
+        np.array(sign, dtype=float),
+    )
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _star_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(position of the complement, sign(I, I^c)) per increasing k-index I."""
+    pos_out = index_position(n, n - k)
+    pos, sign = [], []
+    for idx in multi_indices(n, k):
+        comp = tuple(i for i in range(n) if i not in idx)
+        pos.append(pos_out[comp])
+        sign.append(perm_sign(idx + comp))
+    out = np.array(pos, dtype=np.intp), np.array(sign, dtype=float)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class KForm:
     """Immutable k-form with dense coefficients over increasing multi-indices."""
@@ -110,13 +160,10 @@ class KForm:
     def dense(self) -> np.ndarray:
         """Fully antisymmetric coefficient array of shape (n,)*k (cached)."""
         if self._dense is None:
-            arr = np.zeros((self.n,) * self.k)
-            for pos, idx in enumerate(multi_indices(self.n, self.k)):
-                c = self.coeffs[pos]
-                if c == 0.0:
-                    continue
-                for perm in itertools.permutations(idx):
-                    arr[perm] = perm_sign(perm) * c
+            flat, pos, sign = _dense_table(self.n, self.k)
+            arr = np.zeros(self.n**self.k)
+            arr[flat] = sign * self.coeffs[pos]
+            arr = arr.reshape((self.n,) * self.k)
             arr.setflags(write=False)
             object.__setattr__(self, "_dense", arr)
         return self._dense
@@ -190,7 +237,7 @@ def from_dense(n: int, k: int, arr: np.ndarray) -> KForm:
     arr = np.asarray(arr, dtype=float)
     if arr.shape != (n,) * k:
         raise ValueError(f"expected shape {(n,) * k}, got {arr.shape}")
-    return KForm(n, k, np.array([arr[idx] for idx in multi_indices(n, k)]))
+    return KForm(n, k, arr.reshape(-1)[_increasing_flat(n, k)])
 
 
 @lru_cache(maxsize=None)
@@ -251,15 +298,6 @@ def form_norm(a: KForm, g: np.ndarray | None = None) -> float:
     return math.sqrt(max(form_inner(a, a, g), 0.0))
 
 
-@lru_cache(maxsize=None)
-def _levi_civita(n: int) -> np.ndarray:
-    eps = np.zeros((n,) * n, dtype=np.int8)
-    for perm in itertools.permutations(range(n)):
-        eps[perm] = perm_sign(perm)
-    eps.setflags(write=False)
-    return eps
-
-
 def volume_form(n: int, g: np.ndarray | None = None) -> KForm:
     """Riemannian volume form sqrt(det g) e^{1...n} for the fixed orientation."""
     scale = 1.0 if g is None else math.sqrt(np.linalg.det(np.asarray(g, dtype=float)))
@@ -267,28 +305,26 @@ def volume_form(n: int, g: np.ndarray | None = None) -> KForm:
 
 
 def hodge_star(a: KForm, g: np.ndarray | None = None) -> KForm:
-    """Hodge star, defined by alpha ^ *beta = <alpha, beta> vol_g."""
+    """Hodge star, defined by alpha ^ *beta = <alpha, beta> vol_g.
+
+    In the orthonormal frame (*a)_{I^c} = sign(I, I^c) a_I. For a Gram
+    matrix g, *a is sqrt(det g) times the frame star of a with every index
+    raised by g^{-1}.
+    """
     n, k = a.n, a.k
-    if g is None:
-        # orthonormal frame: (*a)_{I^c} = sign(I, I^c) a_I
-        pos_out = index_position(n, n - k)
-        coeffs = np.zeros(math.comb(n, n - k))
-        for pa, idx in enumerate(multi_indices(n, k)):
-            comp = tuple(i for i in range(n) if i not in idx)
-            coeffs[pos_out[comp]] += perm_sign(idx + comp) * a.coeffs[pa]
-        return KForm(n, n - k, coeffs)
-    g = np.asarray(g, dtype=float)
-    ginv = np.linalg.inv(g)
-    raised = a.dense()
-    for slot in range(k):
-        raised = np.moveaxis(np.tensordot(raised, ginv, axes=([slot], [0])), -1, slot)
-    eps = _levi_civita(n).astype(float)
-    dense_out = (
-        math.sqrt(np.linalg.det(g))
-        / math.factorial(k)
-        * np.tensordot(raised, eps, axes=(tuple(range(k)), tuple(range(k))))
-    )
-    return from_dense(n, n - k, dense_out)
+    scale = 1.0
+    if g is not None:
+        g = np.asarray(g, dtype=float)
+        ginv = np.linalg.inv(g)
+        raised = a.dense()
+        for slot in range(k):
+            raised = np.moveaxis(np.tensordot(raised, ginv, axes=([slot], [0])), -1, slot)
+        a = from_dense(n, k, raised)
+        scale = math.sqrt(np.linalg.det(g))
+    pos, sign = _star_table(n, k)
+    coeffs = np.zeros(math.comb(n, n - k))
+    coeffs[pos] = sign * a.coeffs
+    return KForm(n, n - k, scale * coeffs)
 
 
 def pullback(h: np.ndarray, a: KForm) -> KForm:

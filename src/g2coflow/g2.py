@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +103,13 @@ class G2Data:
 
     def e7_wedge(self, a: KForm) -> KForm:
         return wedge(a, basis_form(DIM, (6,)))
+
+    @cached_property
+    def _rho6(self) -> np.ndarray:
+        """rho+ restricted to the ideal, a contiguous read-only (6, 6, 6) array."""
+        r = np.ascontiguousarray(self.rho_plus.dense()[:6, :6, :6])
+        r.setflags(write=False)
+        return r
 
 
 def metric_from_phi(phi: KForm) -> tuple[np.ndarray, int]:
@@ -226,15 +234,15 @@ def circ(h: np.ndarray, k: np.ndarray, data: G2Data) -> np.ndarray:
 def circ6(s: np.ndarray, t: np.ndarray, data: G2Data) -> np.ndarray:
     """Six-dimensional product (s o6 t)_{ab} = s_{mn} t_{pq} rho+_{mpa} rho+_{nqb}.
 
-    Evaluated as R^t (s (x) t) R with R = rho+ reshaped to 36x6 (rows (m, p),
-    column a) and (s (x) t)_{(m,p),(n,q)} = s_{mn} t_{pq}, i.e. two small
-    matrix products.
+    Evaluated as three small matrix products: W_{mqb} = s_{mn} rho+_{nqb},
+    V_{mpb} = t_{pq} W_{mqb} (one batched product over m), and
+    R^t V with R = rho+ reshaped to 36x6 (rows (m, p), column a).
     """
-    R = data.rho_plus.dense()[:6, :6, :6].reshape(36, 6)
+    r = data._rho6
     s = np.asarray(s, dtype=float).reshape(6, 6)
     t = np.asarray(t, dtype=float).reshape(6, 6)
-    K = (s[:, None, :, None] * t[None, :, None, :]).reshape(36, 36)
-    return R.T @ K @ R
+    V = t @ (s @ r.reshape(6, 36)).reshape(6, 6, 6)
+    return r.reshape(36, 6).T @ V.reshape(36, 6)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from .coflow import _dopri, rhs
 from .g2 import G2Data
 
 __all__ = [
@@ -94,8 +94,6 @@ def embedding_consistency(x: float, y: float, data: G2Data) -> dict:
     """
     if data.convention != "example":
         raise ValueError("the planar family is written in the example basis")
-    from .coflow import rhs
-
     R = rhs(embed(x, y), data)
     dx_b, dy_b = R[0, 1], R[1, 0]
     off_family = float(np.max(np.abs(R - embed(dx_b, dy_b))))
@@ -187,17 +185,17 @@ def integrate_trajectory(
     abs_tol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Planar trajectory sampled at the accepted steps."""
-    sol = solve_ivp(
-        lambda t, v: planar_rhs(v[0], v[1]),
-        (0.0, t_end),
-        [x0, y0],
-        method="RK45",
-        rtol=rel_tol,
-        atol=abs_tol,
+    sol = _dopri(
+        lambda t, v: np.array(planar_rhs(v[0], v[1])),
+        0.0,
+        np.array([x0, y0], dtype=float),
+        t_end,
+        rel_tol,
+        abs_tol,
     )
     if sol.status != 0:
         raise RuntimeError(f"trajectory integration failed: {sol.message}")
-    return sol.t, sol.y[0], sol.y[1]
+    return sol.t, sol.y[:, 0], sol.y[:, 1]
 
 
 def phase_portrait(grid: PhaseGrid, flag_tol: float = 1e-9) -> list[dict]:

@@ -1,10 +1,24 @@
 """Bracket-flow integrator: monotonicity, reconstruction, trace persistence."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.integrate import RK45, solve_ivp
 
+import g2coflow
 from g2coflow import coflow
-from g2coflow.almost_abelian import q_matrix, random_sp, random_su3, sp_check
+from g2coflow.almost_abelian import (
+    _scalar_diagnostics_batch,
+    q_matrix,
+    random_sp,
+    random_su3,
+    scalar_diagnostics,
+    sp_check,
+)
 from g2coflow.coflow import (
     FlowTrace,
     IntegrationError,
@@ -182,3 +196,132 @@ def test_pde_residuals_second_order():
     )
     assert res[1e-2] < 1e-3
     assert res[1e-3] < res[1e-2] / 30.0
+
+
+def _flow_fun(data):
+    return lambda t, y: coflow._rhs_raw(y.reshape(6, 6), data).ravel()
+
+
+def _start(seed, data, norm=4.0):
+    A0 = random_sp(np.random.default_rng(seed), data)
+    return A0 * (norm / np.linalg.norm(A0))
+
+
+def test_tableau_is_scipy_rk45():
+    for name in "ABCEP":
+        assert np.array_equal(getattr(coflow, "_DP_" + name), getattr(RK45, name)), name
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_dopri_reproduces_scipy_rk45_bit_for_bit(convention):
+    data = canonical_g2(convention)
+    fun = _flow_fun(data)
+    y0 = _start(3, data).ravel()
+    ref = solve_ivp(fun, (0.0, 100.0), y0, method="RK45", rtol=1e-9, atol=1e-12)
+    sol = coflow._dopri(fun, 0.0, y0, 100.0, 1e-9, 1e-12)
+    assert sol.status == ref.status == 0
+    assert sol.nfev == ref.nfev
+    assert np.array_equal(sol.t, ref.t)
+    assert np.array_equal(sol.y, ref.y.T)
+
+
+def test_dopri_backward_ceiling_matches_scipy_event():
+    fun = _flow_fun(DATA)
+    y0 = _start(5, DATA).ravel()
+    ceiling = 50.0
+
+    def event(t, y):
+        return float(np.linalg.norm(y)) - ceiling
+
+    event.terminal = True
+    ref = solve_ivp(
+        fun, (0.0, -10.0), y0, method="RK45", rtol=1e-9, atol=1e-12, events=[event]
+    )
+    sol = coflow._dopri(fun, 0.0, y0, -10.0, 1e-9, 1e-12, event=event)
+    assert ref.status == sol.status == 1
+    assert sol.nfev == ref.nfev
+    assert np.array_equal(sol.t[:-1], ref.t[:-1])
+    assert abs(sol.t[-1] - ref.t[-1]) < 1e-12
+    top, ref_top = np.linalg.norm(sol.y[-1]), np.linalg.norm(ref.y[:, -1])
+    assert abs(top - ref_top) < 1e-12 * ceiling
+    assert abs(top - ceiling) < 1e-10 * ceiling
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_dopri_t_eval_matches_scipy_on_joint_rhs(backward):
+    fixture = load_example("nilpotent3")
+    data = canonical_g2(fixture["convention"])
+    fun = lambda t, y: coflow._joint_rhs(y, data)  # noqa: E731
+    y0 = np.concatenate([fixture["A"].ravel(), np.eye(7).ravel()])
+    t_eval = np.concatenate([[0.0], np.sort(np.random.default_rng(1).uniform(0, 2, 15)), [2.0]])
+    if backward:
+        # the fixture's orbit (1 + 5t)^{-1/2} e^{sE} A e^{-sE} blows up at t = -1/5
+        t_eval = -0.075 * t_eval
+    ref = solve_ivp(
+        fun, (0.0, t_eval[-1]), y0, method="RK45", rtol=1e-11, atol=1e-13, t_eval=t_eval
+    )
+    sol = coflow._dopri(fun, 0.0, y0, t_eval[-1], 1e-11, 1e-13, t_eval=t_eval)
+    assert sol.status == ref.status == 0
+    assert sol.nfev == ref.nfev
+    assert np.array_equal(sol.t, t_eval)
+    assert np.array_equal(sol.y[0], y0)
+    rel = np.max(np.abs(sol.y - ref.y.T) / np.maximum(1.0, np.abs(ref.y.T)))
+    assert rel < 1e-12
+
+
+def test_batched_diagnostics_match_per_sample():
+    trace = integrate(_start(21, DATA), IntegratorOptions(t_end=5.0), DATA)
+    R, torsion_sq = _scalar_diagnostics_batch(trace.As, DATA)
+    for i, A in enumerate(trace.As):
+        diag = scalar_diagnostics(A, DATA)
+        assert abs(R[i] - diag["R"]) <= 1e-13 * max(1.0, abs(diag["R"]))
+        ref_t = diag["torsionNormSq"]
+        assert abs(torsion_sq[i] - ref_t) <= 1e-13 * max(1.0, abs(ref_t))
+    assert np.array_equal(trace.R, R)
+    assert np.array_equal(trace.torsion_sq, torsion_sq)
+
+
+def test_batched_diagnostics_gate_bookkeeping():
+    # off sp(R^6) the torsion identity R = (1/4)(tr JA)^2 - |T|^2 fails
+    A = rng.standard_normal((1, 6, 6))
+    with pytest.raises(AssertionError):
+        _scalar_diagnostics_batch(A, DATA)
+
+
+def test_trace_csv_matches_per_element_writer(tmp_path):
+    trace = integrate(_start(13, DATA), IntegratorOptions(t_end=1.0), DATA)
+    As = trace.As.copy()
+    As[0, 0, 0] = -0.0
+    As[1, 0, 0] = 0.1 + 0.2  # needs all 17 significant digits
+    As[2, 0, 0] = 1e-300
+    trace = FlowTrace(
+        ts=trace.ts, As=As, norm_sq=trace.norm_sq, R=trace.R,
+        torsion_sq=trace.torsion_sq, steps=trace.steps, meta=trace.meta,
+    )
+    lines = [",".join(coflow._CSV_COLUMNS)]
+    for i in range(len(trace.ts)):
+        row = (
+            [trace.ts[i]]
+            + list(trace.As[i].ravel())
+            + [trace.norm_sq[i], trace.R[i], trace.torsion_sq[i], trace.steps[i]]
+        )
+        lines.append(",".join(f"{x:.17g}" for x in row))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, str(path))
+    text = path.read_text()
+    assert text == "\n".join(lines) + "\n"
+    assert ",-0," in text and "0.30000000000000004" in text
+
+
+def test_package_import_leaves_scipy_integrate_out():
+    src = str(Path(g2coflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, g2coflow.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 """Exterior algebra kernel: products, star, pullback, infinitesimal action."""
 
+import itertools
 import math
 
 import numpy as np
@@ -114,6 +115,57 @@ def test_form_inner_dense_consistency():
     a, b = random_form(7, 3), random_form(7, 3)
     direct = np.tensordot(a.dense(), b.dense(), axes=3) / math.factorial(3)
     assert abs(form_inner(a, b) - direct) < 1e-12
+
+
+def _dense_by_permutation_loop(a: KForm) -> np.ndarray:
+    arr = np.zeros((a.n,) * a.k)
+    for pos, idx in enumerate(multi_indices(a.n, a.k)):
+        for perm in itertools.permutations(idx):
+            arr[perm] = perm_sign(perm) * a.coeffs[pos]
+    return arr
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_dense_and_from_dense_match_permutation_loop(k):
+    a = random_form(7, k)
+    d = a.dense()
+    assert d.shape == (7,) * k
+    assert np.array_equal(d, _dense_by_permutation_loop(a))
+    assert not d.flags.writeable
+    # a generic (not antisymmetric) array: only increasing entries are read
+    arr = rng.standard_normal((7,) * k)
+    gathered = [arr[idx] for idx in multi_indices(7, k)]
+    assert np.array_equal(from_dense(7, k, arr).coeffs, gathered)
+
+
+def _hodge_star_by_levi_civita(a: KForm, g: np.ndarray) -> KForm:
+    """sqrt(det g)/k! a^{i1..ik} eps_{i1..ik j1..j(n-k)} over the full tensor."""
+    n, k = a.n, a.k
+    eps = np.zeros((n,) * n)
+    for perm in itertools.permutations(range(n)):
+        eps[perm] = perm_sign(perm)
+    ginv = np.linalg.inv(g)
+    raised = a.dense()
+    for slot in range(k):
+        raised = np.moveaxis(np.tensordot(raised, ginv, axes=([slot], [0])), -1, slot)
+    dense = (
+        math.sqrt(np.linalg.det(g))
+        / math.factorial(k)
+        * np.tensordot(raised, eps, axes=(tuple(range(k)), tuple(range(k))))
+    )
+    return from_dense(n, n - k, dense)
+
+
+def test_hodge_star_gram_matches_levi_civita_contraction():
+    for k in range(8):
+        h = np.eye(7) + 0.3 * rng.standard_normal((7, 7))
+        g = h.T @ h
+        a = random_form(7, k)
+        expected = _hodge_star_by_levi_civita(a, g)
+        got = hodge_star(a, g)
+        assert (got.n, got.k) == (7, 7 - k)
+        scale = max(1.0, float(np.max(np.abs(expected.coeffs))))
+        assert np.max(np.abs(got.coeffs - expected.coeffs)) < 1e-12 * scale
 
 
 def test_hodge_star_involution_all_degrees():

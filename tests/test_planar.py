@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from g2coflow.coflow import rhs
+from g2coflow.coflow import _dopri, rhs
 from g2coflow.g2 import canonical_g2
 from g2coflow.planar import (
     FLAG_NAMES,
@@ -177,3 +178,16 @@ def test_planar_clock_against_bracket_integration():
     A_end = trace.As[-1]
     assert abs(A_end[0, 1] - xs[-1]) < 1e-8
     assert abs(A_end[1, 0] - ys[-1]) < 1e-8
+
+
+def test_trajectory_reproduces_scipy_rk45_bit_for_bit():
+    ts, xs, ys = integrate_trajectory(1.0, 2.0, 5.0)
+
+    def fun(t, v):
+        return np.array(planar_rhs(v[0], v[1]))
+
+    ref = solve_ivp(fun, (0.0, 5.0), [1.0, 2.0], method="RK45", rtol=1e-9, atol=1e-12)
+    assert _dopri(fun, 0.0, np.array([1.0, 2.0]), 5.0, 1e-9, 1e-12).nfev == ref.nfev
+    assert np.array_equal(ts, ref.t)
+    assert np.array_equal(xs, ref.y[0])
+    assert np.array_equal(ys, ref.y[1])
