@@ -188,13 +188,16 @@ class SymbolQ:
 def _laplacian_symbol(A: np.ndarray, data: G2Data) -> tuple[np.ndarray, float]:
     """(Qh, q) of q_matrix without the sp(R^6) gate: the flow right-hand
     sides call this on every evaluation, with the bracket already checked
-    once at the start. Traces are inner products: tr S^2 = <S, S> for
-    symmetric S and tr JA = <J, A^t>."""
-    At = A.T
-    S = 0.5 * (A + At)
-    Qh = 0.5 * (A @ At - At @ A + circ6(S, S, data))
-    q = -0.5 * float(np.vdot(S, S)) - 0.25 * float(np.vdot(data.J, At)) ** 2
-    return Qh, q
+    once at the start.
+
+    Evaluated as the precomputed quadratic form data._symbol_quadratic on
+    the coordinates z = P vec(A), i.e. on the orthogonal projection of A
+    onto sp(R^6); on sp(R^6) it equals the closed form to rounding.
+    """
+    P, M = data._symbol_quadratic
+    z = P @ A.reshape(36)
+    w = M @ (z[:, None] * z).reshape(441)
+    return w[:36].reshape(6, 6), float(w[36])
 
 
 def q_matrix(A: np.ndarray, data: G2Data) -> SymbolQ:

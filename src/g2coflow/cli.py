@@ -12,6 +12,7 @@ per-sample seeding so the split does not change the numbers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -492,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p_verify.add_argument("--samples", type=int, default=None)
     p_verify.add_argument("--report", default=None, help="write JSON report here")
-    p_verify.set_defaults(fn=cmd_verify)
 
     p_flow = sub.add_parser("flow", parents=[common], help="integrate a bracket")
     p_flow.add_argument("--bracket", required=True, help="JSON file with field A")
@@ -504,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--sp-drift-tol", type=float, default=1e-8)
     p_flow.add_argument("--norm-ceiling", type=float, default=1e6)
     p_flow.add_argument("--out", default="flow_trace.csv")
-    p_flow.set_defaults(fn=cmd_flow)
 
     p_sol = sub.add_parser("soliton", parents=[common], help="certify solitons")
     p_sol.add_argument("action", choices=("check",))
@@ -513,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--bracket", help="JSON file with field A")
     group.add_argument("--skew-sweep", type=int, help="number of random skew brackets")
     p_sol.add_argument("--report", default=None, help="write SolitonReport JSON here")
-    p_sol.set_defaults(fn=cmd_soliton)
 
     p_phase = sub.add_parser("phase", parents=[common], help="planar phase data")
     p_phase.add_argument("--xmin", type=float, default=-2.0)
@@ -526,13 +524,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_phase.add_argument("--t-end", type=float, default=5.0)
     p_phase.add_argument("--nullclines", action="store_true")
     p_phase.add_argument("--out", default=None)
-    p_phase.set_defaults(fn=cmd_phase)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a rebound cmd_* (wrapped or patched) runs
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

@@ -111,6 +111,61 @@ class G2Data:
         r.setflags(write=False)
         return r
 
+    @cached_property
+    def _symbol_quadratic(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P, M): the Laplacian symbol as a quadratic form on sp(R^6).
+
+        Rows of P (21x36) are vec(J Sigma_a) for the orthonormal basis
+        E_ii, (E_ij + E_ji)/sqrt(2) of Sym(6), so z = P vec(A) are the
+        coordinates of the orthogonal projection of A onto sp(R^6) =
+        J Sym(6). M (37x441) gives [vec Qh; q] = M (z (x) z) for
+        Qh = (1/2)([A,A^t] + S o6 S), q = -(1/2) tr S^2 - (1/4)(tr JA)^2:
+        its column (a, b) is the bilinear form behind the symbol on the
+        basis pair X_a = J Sigma_a, X_b = J Sigma_b (only its symmetric
+        part meets z (x) z). Both are read-only.
+        """
+        rows, cols = np.triu_indices(6)
+        sigma = np.zeros((21, 6, 6))
+        weight = np.where(rows == cols, 1.0, math.sqrt(0.5))
+        sigma[np.arange(21), rows, cols] = weight
+        sigma[np.arange(21), cols, rows] = weight
+        X = self.J @ sigma
+        S = 0.5 * (X + np.swapaxes(X, 1, 2))
+        # (1/2)(X_a X_b^t - X_a^t X_b)
+        comm = 0.5 * (
+            np.einsum("aij,bkj->abik", X, X) - np.einsum("aji,bjk->abik", X, X)
+        )
+        # (1/2) S_a o6 S_b = (1/2) S_a,mn S_b,pq rho+_mpc rho+_nqd: contract
+        # each factor with one rho+ and the pair over the shared (m, q)
+        r = self._rho6
+        U = np.einsum("amn,nqd->mqad", S, r).reshape(36, 21 * 6)
+        T = np.einsum("bpq,mpc->mqbc", S, r).reshape(36, 21 * 6)
+        circ = 0.5 * (T.T @ U).reshape(21, 6, 21, 6).transpose(2, 0, 1, 3)
+        tr_js = np.einsum("ij,aji->a", self.J, X)
+        q = -0.5 * np.einsum("aij,bij->ab", S, S) - 0.25 * np.outer(tr_js, tr_js)
+        M = np.empty((37, 21, 21))
+        M[:36] = (comm + circ).reshape(21, 21, 36).transpose(2, 0, 1)
+        M[36] = q
+        P = X.reshape(21, 36)
+        M = M.reshape(37, 441)
+        for a in (P, M):
+            a.setflags(write=False)
+        return P, M
+
+    @cached_property
+    def _sp_residual(self) -> np.ndarray:
+        """D (36x36, read-only) with D vec(A) = vec(A J + J A^t).
+
+        When J is a signed permutation, as in both shipped bases, each
+        entry of D vec(A) is a sum of at most two signed entries of A and
+        equals the matrix-product form bit for bit.
+        """
+        E = np.eye(36).reshape(36, 6, 6)
+        columns = E @ self.J + self.J @ np.swapaxes(E, 1, 2)
+        D = np.ascontiguousarray(columns.reshape(36, 36).T)
+        D.setflags(write=False)
+        return D
+
 
 def metric_from_phi(phi: KForm) -> tuple[np.ndarray, int]:
     """Metric and orientation sign induced by a positive 3-form.

@@ -14,6 +14,7 @@ reproduces Ric = (1/2)[A, A^t] on the ideal for symplectic A (see tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,11 +62,45 @@ def structure_constants(A: np.ndarray) -> np.ndarray:
     return c
 
 
+@lru_cache(maxsize=None)
+def _ce_table(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(out position, column a, flat rest index, sign) of every nonzero
+    term of the differential of a k-form.
+
+    The bracket is nonzero only on pairs [e_a, e_7] = -A e_a, and in an
+    increasing (k+1)-index e_7 can only come last (q = k), so each term is
+    (-1)^(p+k+1) <A e_a, alpha(., rest)> with a = idx[p] < 6 and rest the
+    index with positions p and k removed, flattened over (7,)*(k-1).
+    """
+    pos, col, rest, sign = [], [], [], []
+    for out_pos, idx in enumerate(multi_indices(DIM, k + 1)):
+        if idx[-1] != DIM - 1:
+            continue
+        for p in range(k):
+            flat = 0
+            for i in idx[:p] + idx[p + 1 : k]:
+                flat = flat * DIM + i
+            pos.append(out_pos)
+            col.append(idx[p])
+            rest.append(flat)
+            sign.append(-1.0 if (p + k) % 2 == 0 else 1.0)
+    out = (
+        np.array(pos, dtype=np.intp),
+        np.array(col, dtype=np.intp),
+        np.array(rest, dtype=np.intp),
+        np.array(sign, dtype=float),
+    )
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def ce_differential(alpha: KForm, A: np.ndarray) -> KForm:
     """Chevalley-Eilenberg differential of an invariant k-form.
 
     (d alpha)(x_0,...,x_k) = sum_{p<q} (-1)^{p+q}
-    alpha([x_p, x_q], x_0,..., x_p hat,..., x_q hat,..., x_k).
+    alpha([x_p, x_q], x_0,..., x_p hat,..., x_q hat,..., x_k),
+    evaluated as one gather and contraction over the cached _ce_table.
     """
     n, k = alpha.n, alpha.k
     if n != DIM:
@@ -73,24 +108,13 @@ def ce_differential(alpha: KForm, A: np.ndarray) -> KForm:
     if k >= n:
         raise ValueError("no (k+1)-forms above the top degree")
     A = _as_bracket(A)
-    dense = alpha.dense()
-    out = np.zeros(len(multi_indices(n, k + 1)))
-    for pos, idx in enumerate(multi_indices(n, k + 1)):
-        total = 0.0
-        for p in range(k + 1):
-            for q in range(p + 1, k + 1):
-                a, b = idx[p], idx[q]
-                rest = idx[:p] + idx[p + 1 : q] + idx[q + 1 :]
-                if b == 6:  # [e_a, e_7] = -A e_a
-                    vec = -A[:, a]
-                elif a == 6:
-                    vec = A[:, b]
-                else:
-                    continue
-                sign = -1.0 if (p + q) % 2 else 1.0
-                total += sign * float(vec @ dense[(slice(None, 6),) + rest])
-        out[pos] = total
-    return KForm(n, k + 1, out)
+    size = len(multi_indices(n, k + 1))
+    if k == 0:  # brackets need two arguments
+        return KForm(n, 1, np.zeros(size))
+    pos, col, rest, sign = _ce_table(k)
+    ideal = alpha.dense().reshape(DIM, -1)[:6]
+    terms = sign * np.einsum("mi,mi->i", A[:, col], ideal[:, rest])
+    return KForm(n, k + 1, np.bincount(pos, weights=terms, minlength=size))
 
 
 def codifferential(alpha: KForm, A: np.ndarray, g: np.ndarray | None = None) -> KForm:

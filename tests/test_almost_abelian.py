@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from g2coflow.almost_abelian import (
+    _laplacian_symbol,
     q_matrix,
     random_sp,
     random_sp_skew,
@@ -18,7 +19,7 @@ from g2coflow.almost_abelian import (
     torsion_from_nabla_phi,
 )
 from g2coflow.exterior import form_norm, theta
-from g2coflow.g2 import canonical_g2, circ, identity_suite
+from g2coflow.g2 import canonical_g2, circ, circ6, identity_suite
 from g2coflow.metric_lie import (
     ce_differential,
     curvature_tensor,
@@ -121,6 +122,44 @@ def test_laplacian_symbol_matches_hodge(convention):
         sym = q_matrix(A, data)
         gap = theta(sym.Q, data.psi) - hodge_laplacian(data.psi, A)
         assert form_norm(gap) < 1e-11
+
+
+def closed_form_symbol(A, data):
+    """Reference (Qh, q) by matrix products and circ6."""
+    S = 0.5 * (A + A.T)
+    Qh = 0.5 * (A @ A.T - A.T @ A + circ6(S, S, data))
+    q = -0.5 * np.trace(S @ S) - 0.25 * np.trace(data.J @ A) ** 2
+    return Qh, q
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize(
+    "sampler", [random_sp, random_sp_skew, random_su3, lambda r, d: np.zeros((6, 6))]
+)
+def test_symbol_quadratic_form_matches_closed_form(convention, sampler):
+    data = canonical_g2(convention)
+    local = np.random.default_rng(20241019)
+    for _ in range(10):
+        A = 3.0 * sampler(local, data)
+        Qh, q = _laplacian_symbol(A, data)
+        Qh_ref, q_ref = closed_form_symbol(A, data)
+        scale = max(1.0, np.max(np.abs(Qh_ref)), abs(q_ref))
+        assert np.max(np.abs(Qh - Qh_ref)) <= 1e-13 * scale
+        assert abs(q - q_ref) <= 1e-13 * scale
+        assert isinstance(q, float)
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_symbol_reads_the_sp_projection(convention):
+    data = canonical_g2(convention)
+    P, _ = data._symbol_quadratic
+    A = random_sp(rng, data)
+    off = rng.standard_normal((6, 6))
+    off -= (P.T @ (P @ off.ravel())).reshape(6, 6)  # orthogonal to sp(R^6)
+    Qh, q = _laplacian_symbol(A + off, data)
+    Qh_ref, q_ref = closed_form_symbol(A, data)
+    assert np.max(np.abs(Qh - Qh_ref)) < 1e-13
+    assert abs(q - q_ref) < 1e-13
 
 
 @pytest.mark.parametrize("convention", CONVENTIONS)

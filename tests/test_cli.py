@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from g2coflow import cli
 from g2coflow.almost_abelian import random_sp
 from g2coflow.cli import main
 from g2coflow.g2 import canonical_g2
@@ -250,3 +251,40 @@ def test_unknown_arguments_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["verify", "--no-such-flag"])
     assert err.value.code == 2
+
+
+def run_main(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_reused_across_calls_matches_fresh_parser(sp_bracket, tmp_path, capsys):
+    flow_out, phase_out = str(tmp_path / "flow.csv"), str(tmp_path / "phase.csv")
+    sequence = [
+        ["verify", "--suite", "appendix"],
+        ["soliton", "check", "--example", "nilpotent3"],
+        ["verify", "--no-such-flag"],
+        ["flow", "--bracket", sp_bracket, "--t-end", "0.5", "--out", flow_out],
+        ["phase", "--res", "5", "--out", phase_out],
+        ["verify", "--suite", "appendix", "--tol", "1e-8"],
+    ]
+    reused = [run_main(argv, capsys) for argv in sequence]
+    assert cli._parser() is cli._parser()
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(run_main(argv, capsys))
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0, 0]
+    assert reused == fresh
+
+
+def test_main_dispatches_through_module_namespace(monkeypatch):
+    cli._parser()  # built before the rebinding below
+    seen = []
+    monkeypatch.setattr(cli, "cmd_phase", lambda args: seen.append(args.res) or 7)
+    assert main(["phase", "--res", "3"]) == 7
+    assert seen == [3]

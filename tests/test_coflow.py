@@ -188,6 +188,33 @@ def test_h_reconstruction_pairs_with_bracket_trajectory():
     assert reconstruction_gap(trace, hs) < 1e-8
 
 
+def reconstruction_gap_loop(trace, hs):
+    """Reference: the per-sample solve and maxima."""
+    A0 = trace.As[0]
+    worst = 0.0
+    for A, h in zip(trace.As, hs):
+        k = h[:6, :6]
+        recon = np.linalg.solve(k.T, (k @ A0).T).T / h[6, 6]
+        worst = max(worst, float(np.max(np.abs(A - recon))))
+        off = max(np.max(np.abs(h[:6, 6])), np.max(np.abs(h[6, :6])))
+        worst = max(worst, float(off))
+    return worst
+
+
+def test_reconstruction_gap_matches_per_sample_loop():
+    fixture = load_example("nilpotent3")
+    data = canonical_g2(fixture["convention"])
+    trace = integrate(fixture["A"], IntegratorOptions(t_end=3.0), data)
+    hs = reconstruct_h(trace, data)
+    assert reconstruction_gap(trace, hs) == reconstruction_gap_loop(trace, hs)
+    # a perturbed stack, so the off-block and the bracket terms both count
+    noisy = hs + 1e-6 * rng.standard_normal(hs.shape)
+    assert reconstruction_gap(trace, noisy) == reconstruction_gap_loop(trace, noisy)
+    off = hs.copy()
+    off[len(off) // 2, 6, 2] = 0.5
+    assert reconstruction_gap(trace, off) == 0.5
+
+
 def test_pde_residuals_second_order():
     fixture = load_example("nilpotent3")
     data = canonical_g2(fixture["convention"])

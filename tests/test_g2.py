@@ -169,6 +169,43 @@ def test_circ6_matches_defining_contraction(convention, symmetric):
 
 
 @pytest.mark.parametrize("convention", CONVENTIONS)
+def test_symbol_tables_are_shared_and_read_only(convention):
+    data = canonical_g2(convention)
+    P, M = data._symbol_quadratic
+    D = data._sp_residual
+    assert (P.shape, M.shape, D.shape) == ((21, 36), (37, 441), (36, 36))
+    assert canonical_g2(convention)._symbol_quadratic[0] is P
+    assert canonical_g2(convention)._sp_residual is D
+    for table in (P, M, D):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_sp_coordinates_are_orthonormal_inside_sp(convention):
+    data = canonical_g2(convention)
+    P, _ = data._symbol_quadratic
+    assert np.max(np.abs(P @ P.T - np.eye(21))) < 1e-15
+    X = P.reshape(21, 6, 6)
+    assert np.max(np.abs(X @ data.J + data.J @ np.swapaxes(X, 1, 2))) < 1e-15
+    # sp(R^6) has dimension 21, so P^t P is the orthogonal projection onto it
+    A = random_sp(rng, data)
+    assert np.max(np.abs(P.T @ (P @ A.ravel()) - A.ravel())) < 1e-14
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_sp_residual_map_is_exact(convention):
+    data = canonical_g2(convention)
+    D = data._sp_residual
+    As = rng.standard_normal((500, 6, 6)) * 10.0 ** rng.integers(-3, 4, (500, 1, 1))
+    expected = (As @ data.J + data.J @ np.swapaxes(As, 1, 2)).reshape(500, 36)
+    assert np.array_equal(As.reshape(500, 36) @ D.T, expected)
+    for A, row in zip(As[:50], expected):
+        assert np.array_equal(D @ A.ravel(), row)
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
 def test_decompose_assemble_round_trip(convention):
     data = canonical_g2(convention)
     xi = KForm(7, 4, rng.standard_normal(35))

@@ -13,6 +13,7 @@ from g2coflow.exterior import (
     form_norm,
     from_dense,
     interior,
+    multi_indices,
     wedge,
 )
 from g2coflow.g2 import canonical_g2
@@ -48,6 +49,40 @@ def random_form(k: int) -> KForm:
 
 def random_bracket() -> np.ndarray:
     return rng.standard_normal((6, 6))
+
+
+def ce_differential_loop(alpha: KForm, A: np.ndarray) -> np.ndarray:
+    """Reference: the defining sum over index pairs, one term at a time."""
+    k = alpha.k
+    dense = alpha.dense()
+    out = np.zeros(math.comb(7, k + 1))
+    for pos, idx in enumerate(multi_indices(7, k + 1)):
+        total = 0.0
+        for p in range(k + 1):
+            for q in range(p + 1, k + 1):
+                a, b = idx[p], idx[q]
+                rest = idx[:p] + idx[p + 1 : q] + idx[q + 1 :]
+                if b == 6:  # [e_a, e_7] = -A e_a
+                    vec = -A[:, a]
+                elif a == 6:
+                    vec = A[:, b]
+                else:
+                    continue
+                sign = -1.0 if (p + q) % 2 else 1.0
+                total += sign * float(vec @ dense[(slice(None, 6),) + rest])
+        out[pos] = total
+    return out
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_ce_differential_matches_defining_sum(k):
+    for _ in range(3):
+        a = random_form(k)
+        A = random_bracket()
+        d = ce_differential(a, A)
+        assert (d.n, d.k) == (7, k + 1)
+        gap = np.abs(d.coeffs - ce_differential_loop(a, A))
+        assert np.max(gap, initial=0.0) < 1e-14
 
 
 def test_structure_constants_layout():
