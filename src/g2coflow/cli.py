@@ -2,8 +2,10 @@
 certification, and phase-portrait export.
 
 Exit codes: 0 success, 1 failed identity or assertion (the offending
-residual is named on stdout), 2 integrator or output-write failure,
-3 non-symplectic bracket input. Tolerances resolve as --tol, then the
+residual is named on stdout), 2 unreadable input (a missing or malformed
+bracket file, an unknown --example fixture, a --trajectory that is not
+two numbers), integrator or output-write failure, 3 non-symplectic
+bracket input. Tolerances resolve as --tol, then the
 G2COFLOW_TOL environment variable, then per-suite defaults. All outputs
 are deterministic for a fixed config and seed; sweeps honor --jobs with
 per-sample seeding so the split does not change the numbers.
@@ -22,6 +24,7 @@ import numpy as np
 
 from . import coflow, planar, soliton
 from .almost_abelian import (
+    q_matrix,
     random_sp,
     random_sp_skew,
     sp_check,
@@ -30,7 +33,7 @@ from .almost_abelian import (
 )
 from .exterior import theta
 from .g2 import (
-    G2Data,
+    CONVENTIONS,
     bianchi_defect,
     canonical_g2,
     identity_suite,
@@ -50,8 +53,6 @@ from .metric_lie import (
     lie_derivative_form,
     ricci_tensor,
 )
-from .almost_abelian import q_matrix
-from .exterior import form_norm
 
 SUITES = ("appendix", "laplacian", "torsion", "ricci", "bianchi", "lie")
 SUITE_DEFAULTS = {
@@ -187,6 +188,17 @@ def _resolve_tol(args: argparse.Namespace, default: float) -> float:
     return default
 
 
+def _check(name: str, residual: float, tol: float, ok: bool | None = None) -> dict:
+    """One named check record; it passes when residual < tol unless ok is given."""
+    residual = float(residual)
+    return {
+        "name": name,
+        "residual": residual,
+        "tolerance": tol,
+        "pass": bool(residual < tol if ok is None else ok),
+    }
+
+
 def _print_checks(checks: list[dict]) -> bool:
     all_ok = True
     for chk in checks:
@@ -206,28 +218,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for suite in suites:
         default_tol, default_samples = SUITE_DEFAULTS[suite]
         tol = _resolve_tol(args, default_tol)
-        samples = args.samples if args.samples else default_samples
         if suite == "appendix":
-            for name, residual in identity_suite(data).items():
-                checks.append(
-                    {
-                        "name": f"appendix/{name}",
-                        "residual": float(residual),
-                        "tolerance": tol,
-                        "pass": bool(residual < tol),
-                    }
-                )
-            continue
-        merged = _run_sweep(_SAMPLERS[suite], args.convention, args.seed, samples, args.jobs)
-        for name, residual in merged.items():
-            checks.append(
-                {
-                    "name": f"{suite}/{name}",
-                    "residual": float(residual),
-                    "tolerance": tol,
-                    "pass": bool(residual < tol),
-                }
+            results = identity_suite(data)
+        else:
+            samples = args.samples if args.samples else default_samples
+            results = _run_sweep(
+                _SAMPLERS[suite], args.convention, args.seed, samples, args.jobs
             )
+        checks.extend(_check(f"{suite}/{name}", r, tol) for name, r in results.items())
     all_ok = _print_checks(checks)
     if args.report:
         report = {
@@ -253,7 +251,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
     data = canonical_g2(args.convention)
     try:
         A0 = _load_bracket(args.bracket)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"cannot read bracket file {args.bracket}: {exc}", file=sys.stderr)
         return 2
     ok, drift = sp_check(A0, data)
@@ -290,27 +288,14 @@ def cmd_flow(args: argparse.Namespace) -> int:
     checks = []
     slack = 1e-9
     drop = float(np.max(np.diff(trace.norm_sq))) if len(trace.ts) > 1 else 0.0
-    checks.append(
-        {
-            "name": "normSq_nonincreasing",
-            "residual": max(drop, 0.0),
-            "tolerance": slack,
-            "pass": bool(drop <= slack),
-        }
-    )
+    checks.append(_check("normSq_nonincreasing", max(drop, 0.0), slack, drop <= slack))
     bound = coflow.scalar_bound_check(trace)
     if bound.get("skipped"):
         print(f"scalar bound skipped: {bound['reason']}")
     else:
         gap = max(-bound["lower_gap"], bound["upper_gap"], 0.0)
-        checks.append(
-            {
-                "name": "scalar_bound",
-                "residual": gap,
-                "tolerance": slack,
-                "pass": bound["bound_ok"] and bound["R_increasing"],
-            }
-        )
+        ok = bound["bound_ok"] and bound["R_increasing"]
+        checks.append(_check("scalar_bound", gap, slack, ok))
 
     # Planar-axis starts admit a closed form in bracket time,
     # x(t) = x0 (1 + 3 x0^2 t)^{-1/2}; the planar module's displayed system
@@ -319,14 +304,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
     if not backward and x0 != 0.0 and np.max(np.abs(A0 - planar.embed(x0, 0.0))) == 0.0:
         closed = x0 / np.sqrt(1.0 + 3.0 * x0 * x0 * trace.ts)
         rel = float(np.max(np.abs(trace.As[:, 0, 1] - closed) / np.abs(closed)))
-        checks.append(
-            {
-                "name": "axis_closed_form",
-                "residual": rel,
-                "tolerance": 1e-6,
-                "pass": bool(rel < 1e-6),
-            }
-        )
+        checks.append(_check("axis_closed_form", rel, 1e-6))
         print("axis start: planar-system clock runs at 4x bracket time")
     return 0 if _print_checks(checks) else 1
 
@@ -341,19 +319,18 @@ def cmd_soliton(args: argparse.Namespace) -> int:
         conv = args.convention
         merged = _run_sweep(_sample_skew, conv, args.seed, args.skew_sweep, args.jobs)
         checks = [
-            {
-                "name": f"skew_sweep/{name}",
-                "residual": float(v),
-                "tolerance": tol if name != "steady_torsion" else 1e-8,
-                "pass": bool(v < (tol if name != "steady_torsion" else 1e-8)),
-            }
+            _check(f"skew_sweep/{name}", v, tol if name != "steady_torsion" else 1e-8)
             for name, v in merged.items()
         ]
         print(f"{args.skew_sweep} skew brackets certified")
         return 0 if _print_checks(checks) else 1
 
     if args.example:
-        ex = soliton.load_example(args.example)
+        try:
+            ex = soliton.load_example(args.example)
+        except OSError as exc:
+            print(f"unknown example {args.example!r}: {exc}", file=sys.stderr)
+            return 2
         data = canonical_g2(ex["convention"])
         if args.convention != ex["convention"]:
             print(
@@ -365,37 +342,17 @@ def cmd_soliton(args: argparse.Namespace) -> int:
         _emit_soliton_report(report, args.report)
         expected = ex["expected"]
         checks = [
-            {
-                "name": "example/c",
-                "residual": abs(report.c - expected["c"]),
-                "tolerance": tol,
-                "pass": abs(report.c - expected["c"]) < tol,
-            },
-            {
-                "name": "example/d",
-                "residual": abs(report.d - expected["d"]),
-                "tolerance": tol,
-                "pass": abs(report.d - expected["d"]) < tol,
-            },
-            {
-                "name": "example/kind",
-                "residual": 0.0 if report.kind == "semi_algebraic" else 1.0,
-                "tolerance": 0.5,
-                "pass": report.kind == "semi_algebraic",
-            },
-            {
-                "name": "example/pde",
-                "residual": report.residuals.get("pde", np.inf),
-                "tolerance": 1e-10,
-                "pass": report.residuals.get("pde", np.inf) < 1e-10,
-            },
+            _check("example/c", abs(report.c - expected["c"]), tol),
+            _check("example/d", abs(report.d - expected["d"]), tol),
+            _check("example/kind", report.kind != "semi_algebraic", 0.5),
+            _check("example/pde", report.residuals.get("pde", np.inf), 1e-10),
         ]
         return 0 if _print_checks(checks) else 1
 
     data = canonical_g2(args.convention)
     try:
         A = _load_bracket(args.bracket)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"cannot read bracket file {args.bracket}: {exc}", file=sys.stderr)
         return 2
     ok, drift = sp_check(A, data)
@@ -435,7 +392,7 @@ def cmd_phase(args: argparse.Namespace) -> int:
             return 0
 
         if args.trajectory:
-            x0, y0 = (float(v) for v in args.trajectory.split(","))
+            x0, y0 = args.trajectory
             ts, xs, ys = planar.integrate_trajectory(x0, y0, args.t_end)
             out = args.out or f"trajectory_{x0:g}_{y0:g}.csv"
             planar.write_trajectory_csv(ts, xs, ys, out)
@@ -471,11 +428,20 @@ def cmd_phase(args: argparse.Namespace) -> int:
         return 2
 
 
+def _point(text: str) -> tuple[float, float]:
+    """'x,y' as two floats; anything else is an argparse usage error."""
+    try:
+        x, y = (float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'x,y', got {text!r}") from None
+    return x, y
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--convention",
-        choices=("section4", "example"),
+        choices=CONVENTIONS,
         default="section4",
         help="frame convention for the structure forms",
     )
@@ -519,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_phase.add_argument("--ymin", type=float, default=-2.0)
     p_phase.add_argument("--ymax", type=float, default=2.0)
     p_phase.add_argument("--res", type=int, default=101)
-    p_phase.add_argument("--trajectory", help="start point 'x,y'")
+    p_phase.add_argument("--trajectory", type=_point, help="start point 'x,y'")
     p_phase.add_argument("--trajectories", type=int, default=0, help="random starts")
     p_phase.add_argument("--t-end", type=float, default=5.0)
     p_phase.add_argument("--nullclines", action="store_true")

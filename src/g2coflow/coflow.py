@@ -63,9 +63,8 @@ class IntegrationError(RuntimeError):
 class IntegratorOptions:
     """Adaptive RK 5(4) settings.
 
-    min_step is a diagnostic floor: the solver's own underflow detection
-    raises IntegrationError, and the smallest accepted step is reported in
-    the trace meta for comparison. Backward runs stop at the norm ceiling
+    Step underflow raises IntegrationError, and the smallest accepted step
+    is reported in the trace meta. Backward runs stop at the norm ceiling
     (the flow may have a finite-time singularity in the past); forward runs
     never terminate on norm growth, which the monotonicity makes moot.
     """
@@ -73,7 +72,6 @@ class IntegratorOptions:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_step: float = np.inf
-    min_step: float = 0.0
     t_end: float = 10.0
     sp_drift_tol: float = 1e-8
     direction: str = "forward"
@@ -82,8 +80,8 @@ class IntegratorOptions:
     def __post_init__(self) -> None:
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.min_step >= self.max_step:
-            raise ValueError("min_step must be below max_step")
+        if self.max_step <= 0:
+            raise ValueError("max_step must be positive")
         if self.t_end <= 0:
             raise ValueError("t_end is a positive duration")
         if self.direction not in ("forward", "backward"):

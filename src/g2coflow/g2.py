@@ -92,17 +92,10 @@ class G2Data:
     J: np.ndarray
     orientation: int
 
-    @property
-    def g(self) -> np.ndarray:
-        return np.eye(DIM)
-
     def star(self, a: KForm) -> KForm:
         """Hodge star for the phi-induced orientation."""
         out = hodge_star(a)
         return out if self.orientation == 1 else -out
-
-    def e7_wedge(self, a: KForm) -> KForm:
-        return wedge(a, basis_form(DIM, (6,)))
 
     @cached_property
     def _rho6(self) -> np.ndarray:

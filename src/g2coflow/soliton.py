@@ -7,6 +7,10 @@ algebraic solitons additionally have D^t a derivation, which collapses to
 a single commutator equation in A. All certified solitons here are
 expanding (c < 0) or steady and torsion-free (c = 0).
 
+The constants, the certificates and the derivation search all read the
+one Laplacian symbol (Qh, q) of almost_abelian; with 2 Qh = [A,A^t] +
+S o6 S, d = <Qh, [A,A^t]>/|A|^2 and c = q - d.
+
 Certification tolerance defaults to 1e-8: the library inputs are exact
 rational/sqrt(2) combinations evaluated in double precision, so this
 leaves headroom over accumulation error without admitting near-misses.
@@ -21,9 +25,9 @@ from importlib import resources
 import numpy as np
 from scipy.linalg import expm
 
-from .almost_abelian import q_matrix, require_sp, torsion_forms
+from .almost_abelian import _blockdiag, _laplacian_symbol, require_sp, torsion_forms
 from .exterior import form_norm, theta
-from .g2 import G2Data, circ, circ6
+from .g2 import G2Data, circ
 from .metric_lie import (
     DIM,
     VectorField,
@@ -83,23 +87,33 @@ class SolitonReport:
         }
 
 
-def _parts(A: np.ndarray, data: G2Data):
-    S = 0.5 * (A + A.T)
-    comm = A @ A.T - A.T @ A
-    ss = circ6(S, S, data)
-    return S, comm, ss
+# x -> x + x^t on row-major vec(x) of 6x6 matrices: I36 plus the transpose
+# permutation
+_SYM_PART = np.eye(36) + np.eye(36)[np.arange(36).reshape(6, 6).T.ravel()]
+_SYM_PART.setflags(write=False)
 
 
-def soliton_constants(A: np.ndarray, data: G2Data) -> tuple[float, float]:
-    """c = q_A - d and d = (|[A,A^t]|^2 + <S o6 S, [A,A^t]>) / (2|A|^2)."""
+def _symbol_terms(
+    A: np.ndarray, data: G2Data
+) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+    """(A, Qh, q, c, d) for a nonzero sp bracket, read off the Laplacian
+    symbol Q_A = blockdiag(Qh, q).
+
+    Since 2 Qh = [A,A^t] + S o6 S, d = <Qh, [A,A^t]> / |A|^2, and c = q - d.
+    """
     A = require_sp(A, data)
     norm_sq = float(np.sum(A * A))
     if norm_sq == 0.0:
         raise ValueError("soliton constants are undefined for the zero bracket")
-    S, comm, ss = _parts(A, data)
-    d = (float(np.sum(comm * comm)) + float(np.sum(ss * comm))) / (2.0 * norm_sq)
-    q = -0.5 * float(np.trace(S @ S)) - 0.25 * float(np.trace(data.J @ A)) ** 2
-    return q - d, d
+    Qh, q = _laplacian_symbol(A, data)
+    d = float(np.sum(Qh * (A @ A.T - A.T @ A))) / norm_sq
+    return A, Qh, q, q - d, d
+
+
+def soliton_constants(A: np.ndarray, data: G2Data) -> tuple[float, float]:
+    """c = q_A - d and d = (|[A,A^t]|^2 + <S o6 S, [A,A^t]>) / (2|A|^2)."""
+    _, _, _, c, d = _symbol_terms(A, data)
+    return c, d
 
 
 def algebraic_check(
@@ -110,16 +124,12 @@ def algebraic_check(
     The reported residual is the worst of the commutator equation and,
     when it passes, the derivation defects of D = Q_A - cI and D^t.
     """
-    A = require_sp(A, data)
-    if not np.any(A):
-        raise ValueError("algebraic check is undefined for the zero bracket")
-    c, d = soliton_constants(A, data)
-    _, comm, ss = _parts(A, data)
-    M = comm + ss
+    A, Qh, q, c, d = _symbol_terms(A, data)
+    M = 2.0 * Qh
     residual = float(np.max(np.abs((M @ A - A @ M) - 2.0 * d * A)))
     if residual >= tol:
         return False, residual
-    D = q_matrix(A, data).Q - c * np.eye(DIM)
+    D = _blockdiag(Qh - c * np.eye(6), q - c)
     residual = max(
         residual, derivation_residual(D, A), derivation_residual(D.T, A)
     )
@@ -134,21 +144,16 @@ def semi_algebraic_check(
     derivation: [D1, A] - dA; matrix_eq: [A,A^t] + S o6 S - (2c I + D1 +
     D1^t); symbol: Q_A - (c I_7 + (1/2)(D + D^t)) for D = blockdiag(D1, d).
     """
-    A = require_sp(A, data)
+    A, Qh, q, c, d = _symbol_terms(A, data)
     D1 = np.asarray(D1, dtype=float).reshape(6, 6)
-    c, d = soliton_constants(A, data)
-    _, comm, ss = _parts(A, data)
-    D = np.zeros((DIM, DIM))
-    D[:6, :6] = D1
-    D[6, 6] = d
-    Q = q_matrix(A, data).Q
+    D = _blockdiag(D1, d)
     residuals = {
         "derivation": float(np.max(np.abs(D1 @ A - A @ D1 - d * A))),
         "matrix_eq": float(
-            np.max(np.abs(comm + ss - 2.0 * c * np.eye(6) - D1 - D1.T))
+            np.max(np.abs(2.0 * Qh - 2.0 * c * np.eye(6) - D1 - D1.T))
         ),
         "symbol": float(
-            np.max(np.abs(Q - c * np.eye(DIM) - 0.5 * (D + D.T)))
+            np.max(np.abs(_blockdiag(Qh, q) - c * np.eye(DIM) - 0.5 * (D + D.T)))
         ),
     }
     return all(v < tol for v in residuals.values()), residuals
@@ -166,23 +171,13 @@ def find_derivation(
     psi) is returned, which is what the PDE check needs. Returns None when
     the best residual exceeds tol.
     """
-    A = require_sp(A, data)
-    c, d_check = soliton_constants(A, data)
-    _, comm, ss = _parts(A, data)
-    target = comm + ss - 2.0 * c * np.eye(6)
+    A, Qh, _, c, d_check = _symbol_terms(A, data)
+    target = 2.0 * Qh - 2.0 * c * np.eye(6)
 
-    rows = []
-    rhs = []
-    basis = np.eye(36).reshape(36, 6, 6)
-    for block, b in (
-        (lambda E: E @ A - A @ E, d * A),
-        (lambda E: E + E.T, target),
-    ):
-        cols = np.stack([block(E).ravel() for E in basis], axis=1)
-        rows.append(cols)
-        rhs.append(b.ravel())
-    P = np.concatenate(rows, axis=0)
-    b = np.concatenate(rhs)
+    # On row-major vec(D1): vec(D1 A - A D1) = (I (x) A^t - A (x) I) vec(D1)
+    eye = np.eye(6)
+    P = np.concatenate([np.kron(eye, A.T) - np.kron(A, eye), _SYM_PART])
+    b = np.concatenate([(d * A).ravel(), target.ravel()])
 
     x0, *_ = np.linalg.lstsq(P, b, rcond=None)
     residual = float(np.max(np.abs(P @ x0 - b)))
@@ -291,8 +286,7 @@ def expanding_only_audit(report: SolitonReport, data: G2Data, tol: float = CERT_
 def certify(A: np.ndarray, data: G2Data, tol: float = CERT_TOL) -> SolitonReport:
     """Full pipeline: constants, algebraic check, derivation search,
     PDE and trace-identity residuals."""
-    A = require_sp(A, data)
-    c, d = soliton_constants(A, data)
+    A, Qh, q, c, d = _symbol_terms(A, data)
     residuals: dict = {}
 
     alg_ok, alg_res = algebraic_check(A, data, tol)
@@ -300,7 +294,7 @@ def certify(A: np.ndarray, data: G2Data, tol: float = CERT_TOL) -> SolitonReport
     D: np.ndarray | None = None
     if alg_ok:
         kind = "algebraic"
-        D = q_matrix(A, data).Q - c * np.eye(DIM)
+        D = _blockdiag(Qh - c * np.eye(6), q - c)
         residuals["derivation"] = max(
             derivation_residual(D, A), derivation_residual(D.T, A)
         )
@@ -311,9 +305,7 @@ def certify(A: np.ndarray, data: G2Data, tol: float = CERT_TOL) -> SolitonReport
             ok, semi_res = semi_algebraic_check(A, D1, data, tol)
             if ok:
                 kind = "semi_algebraic"
-                D = np.zeros((DIM, DIM))
-                D[:6, :6] = D1
-                D[6, 6] = d
+                D = _blockdiag(D1, d)
                 residuals["derivation"] = semi_res["derivation"]
                 residuals["soliton_eq"] = semi_res["matrix_eq"]
             else:

@@ -126,6 +126,19 @@ def test_soliton_missing_bracket_file(tmp_path, capsys):
     assert "cannot read bracket file" in capsys.readouterr().err
 
 
+def test_bracket_file_without_field_a(tmp_path, capsys):
+    listed = tmp_path / "listed.json"
+    listed.write_text("[1, 2, 3]")
+    assert main(["flow", "--bracket", str(listed), "--t-end", "1.0"]) == 2
+    assert main(["soliton", "check", "--bracket", str(listed)]) == 2
+    assert capsys.readouterr().err.count("cannot read bracket file") == 2
+
+
+def test_soliton_unknown_example(capsys):
+    assert main(["soliton", "check", "--example", "no-such-fixture"]) == 2
+    assert "unknown example 'no-such-fixture'" in capsys.readouterr().err
+
+
 def test_flow_write_failure(sp_bracket, tmp_path):
     missing_dir = tmp_path / "nope" / "trace.csv"
     code = main(
@@ -240,6 +253,14 @@ def test_phase_trajectory(tmp_path, capsys):
     assert code == 0
     assert out.read_text().startswith("t,x,y,logAbsH")
     assert "drift" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point", ["1,2,3", "1", "1,x"])
+def test_phase_malformed_trajectory_exits_two(point, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["phase", "--trajectory", point])
+    assert err.value.code == 2
+    assert "expected 'x,y'" in capsys.readouterr().err
 
 
 def test_phase_write_failure(tmp_path):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from g2coflow.almost_abelian import (
     q_matrix,
@@ -14,7 +15,7 @@ from g2coflow.almost_abelian import (
     torsion_forms,
 )
 from g2coflow.coflow import IntegratorOptions, integrate
-from g2coflow.g2 import canonical_g2, ricci_from_torsion
+from g2coflow.g2 import CONVENTIONS, canonical_g2, circ6, ricci_from_torsion
 from g2coflow.metric_lie import (
     curl_tensor,
     derivation_residual,
@@ -22,6 +23,7 @@ from g2coflow.metric_lie import (
     linear_vector_field,
 )
 from g2coflow.soliton import (
+    CERT_TOL,
     algebraic_check,
     certify,
     classify,
@@ -240,3 +242,82 @@ def test_symbol_decomposition_identity():
     Q = q_matrix(A_FIX, DATA).Q
     sym_gap = Q - c * np.eye(7) - 0.5 * (D_FIX + D_FIX.T)
     assert np.max(np.abs(sym_gap)) < 1e-13
+
+
+def closed_form_soliton_terms(A, data):
+    """Reference M = [A,A^t] + S o6 S, c and d from the paper's formulas."""
+    S = 0.5 * (A + A.T)
+    comm = A @ A.T - A.T @ A
+    ss = circ6(S, S, data)
+    d = (np.sum(comm * comm) + np.sum(ss * comm)) / (2.0 * np.sum(A * A))
+    q = -0.5 * np.trace(S @ S) - 0.25 * np.trace(data.J @ A) ** 2
+    return comm + ss, q - d, d
+
+
+def reference_search_residual(A, d, target):
+    """Worst residual of the least-squares derivation system, built column
+    by column from its defining maps E -> EA - AE and E -> E + E^t."""
+    basis = np.eye(36).reshape(36, 6, 6)
+    P = np.concatenate(
+        [
+            np.stack([(E @ A - A @ E).ravel() for E in basis], axis=1),
+            np.stack([(E + E.T).ravel() for E in basis], axis=1),
+        ]
+    )
+    b = np.concatenate([(d * A).ravel(), target.ravel()])
+    x, *_ = np.linalg.lstsq(P, b, rcond=None)
+    return float(np.max(np.abs(P @ x - b)))
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("sampler", [random_sp, random_sp_skew, random_su3])
+def test_soliton_code_matches_closed_forms(convention, sampler):
+    data = canonical_g2(convention)
+    local = np.random.default_rng(20241020)
+    for _ in range(8):
+        A = sampler(local, data)
+        M, c_ref, d_ref = closed_form_soliton_terms(A, data)
+        scale = max(1.0, np.max(np.abs(M)), abs(c_ref), abs(d_ref))
+        c, d = soliton_constants(A, data)
+        assert abs(c - c_ref) <= 1e-12 * scale
+        assert abs(d - d_ref) <= 1e-12 * scale
+
+        ok, residual = algebraic_check(A, data)
+        residual_ref = np.max(np.abs(M @ A - A @ M - 2.0 * d_ref * A))
+        assert abs(residual - residual_ref) <= 1e-12 * scale
+        if ok:
+            # Both residuals are at rounding level here, so compare the
+            # derivation blockdiag(M/2 - cI, q - c) it certifies instead.
+            D_ref = np.zeros((7, 7))
+            D_ref[:6, :6] = 0.5 * M - c_ref * np.eye(6)
+            D_ref[6, 6] = d_ref
+            report = certify(A, data)
+            assert report.kind == "algebraic"
+            assert np.max(np.abs(report.D - D_ref)) <= 1e-12 * scale
+
+        target = M - 2.0 * c_ref * np.eye(6)
+        # With D1 = target/2, matrix_eq and symbol measure the code's
+        # 2 Qh - 2cI and Q_A - cI against the closed forms.
+        _, semi = semi_algebraic_check(A, 0.5 * target, data)
+        assert semi["matrix_eq"] <= 1e-12 * scale
+        assert semi["symbol"] <= 1e-12 * scale
+        D1, search = find_derivation(A, d, data)
+        gap = search["residual"] - reference_search_residual(A, d, target)
+        assert abs(gap) <= 1e-12 * scale
+        if D1 is not None:
+            assert np.max(np.abs(D1 + D1.T - target)) <= 1e-12 * scale
+        # skew brackets are algebraic solitons, so their search succeeds
+        assert (D1 is not None) or sampler is random_sp
+
+
+def test_certify_on_rotated_scaled_fixture_images():
+    local = np.random.default_rng(20241021)
+    for _ in range(10):
+        U = expm(random_su3(local, DATA))
+        lam = local.uniform(0.9, 1.1)
+        report = certify(lam * U @ A_FIX @ U.T, DATA)
+        assert report.kind == "semi_algebraic"
+        assert abs(report.c + 2.5 * lam**2) < 1e-12
+        assert abs(report.d - lam**2) < 1e-12
+        assert np.max(np.abs(report.D[:6, :6] - lam**2 * U @ D1_FIX @ U.T)) < 1e-12
+        assert report.residuals["soliton_eq"] < CERT_TOL
