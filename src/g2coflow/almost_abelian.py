@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .g2 import G2Data, circ6
-from .metric_lie import DIM, covariant_derivative_form, koszul_connection
+from .metric_lie import DIM, _as_bracket, covariant_derivative_form, koszul_connection
 
 __all__ = [
     "sp_check",
@@ -39,13 +39,6 @@ __all__ = [
 ]
 
 
-def _as_six(A: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.shape != (6, 6):
-        raise ValueError(f"bracket matrix must be 6x6, got {A.shape}")
-    return A
-
-
 def _blockdiag(block: np.ndarray, corner: float) -> np.ndarray:
     out = np.zeros((DIM, DIM))
     out[:6, :6] = block
@@ -55,14 +48,14 @@ def _blockdiag(block: np.ndarray, corner: float) -> np.ndarray:
 
 def sp_check(A: np.ndarray, data: G2Data, tol: float = 1e-10) -> tuple[bool, float]:
     """Whether A J + J A^t = 0, with the max-abs residual."""
-    A = _as_six(A)
+    A = _as_bracket(A)
     residual = float(np.max(np.abs(A @ data.J + data.J @ A.T)))
     scale = max(1.0, float(np.max(np.abs(A))))
     return residual <= tol * scale, residual
 
 
 def require_sp(A: np.ndarray, data: G2Data, tol: float = 1e-10) -> np.ndarray:
-    A = _as_six(A)
+    A = _as_bracket(A)
     ok, residual = sp_check(A, data, tol)
     if not ok:
         raise ValueError(f"matrix is not symplectic: |AJ + JA^t| = {residual:.3e}")

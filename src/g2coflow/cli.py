@@ -5,7 +5,12 @@ Exit codes: 0 success, 1 failed identity or assertion (the offending
 residual is named on stdout), 2 unreadable input (a missing or malformed
 bracket file, an unknown --example fixture, a --trajectory that is not
 two numbers), integrator or output-write failure, 3 non-symplectic
-bracket input. Tolerances resolve as --tol, then the
+bracket input.
+
+Each subcommand takes only the flags it reads: verify and soliton take
+--convention, --tol, --jobs and --seed; flow takes --convention; phase
+takes --seed (for its random trajectory starts). Any other of these is an
+argparse usage error (exit 2). Tolerances resolve as --tol, then the
 G2COFLOW_TOL environment variable, then per-suite defaults. All outputs
 are deterministic for a fixed config and seed; sweeps honor --jobs with
 per-sample seeding so the split does not change the numbers.
@@ -34,6 +39,7 @@ from .almost_abelian import (
 from .exterior import theta
 from .g2 import (
     CONVENTIONS,
+    G2Data,
     bianchi_defect,
     canonical_g2,
     identity_suite,
@@ -54,36 +60,18 @@ from .metric_lie import (
     ricci_tensor,
 )
 
-SUITES = ("appendix", "laplacian", "torsion", "ricci", "bianchi", "lie")
-SUITE_DEFAULTS = {
-    "appendix": (1e-12, 1),
-    "laplacian": (1e-10, 100),
-    "torsion": (1e-10, 1000),
-    "ricci": (1e-10, 100),
-    "bianchi": (1e-10, 100),
-    "lie": (1e-10, 100),
-}
+# Sweep samplers live at module scope so process pools can pickle them.
+# Each takes the G2 data and the sample's generator and returns
+# {check name: worst residual} for one sample.
 
-
-def _rng(seed: int, i: int) -> np.random.Generator:
-    return np.random.default_rng((seed, i))
-
-
-# Sweep workers live at module scope so process pools can pickle them.
-# Each returns {check name: worst residual} for one sample.
-
-def _sample_laplacian(args: tuple[str, int, int]) -> dict[str, float]:
-    conv, seed, i = args
-    data = canonical_g2(conv)
-    A = random_sp(_rng(seed, i), data)
+def _sample_laplacian(data: G2Data, rng: np.random.Generator) -> dict[str, float]:
+    A = random_sp(rng, data)
     gap = theta(q_matrix(A, data).Q, data.psi) - hodge_laplacian(data.psi, A)
     return {"laplacian_oracle": float(np.max(np.abs(gap.dense())))}
 
 
-def _sample_torsion(args: tuple[str, int, int]) -> dict[str, float]:
-    conv, seed, i = args
-    data = canonical_g2(conv)
-    A = random_sp(_rng(seed, i), data)
+def _sample_torsion(data: G2Data, rng: np.random.Generator) -> dict[str, float]:
+    A = random_sp(rng, data)
     T = torsion_forms(A, data).T
     T2, solve_res = torsion_from_nabla_phi(A, data)
     return {
@@ -92,10 +80,8 @@ def _sample_torsion(args: tuple[str, int, int]) -> dict[str, float]:
     }
 
 
-def _sample_ricci(args: tuple[str, int, int]) -> dict[str, float]:
-    conv, seed, i = args
-    data = canonical_g2(conv)
-    A = random_sp(_rng(seed, i), data)
+def _sample_ricci(data: G2Data, rng: np.random.Generator) -> dict[str, float]:
+    A = random_sp(rng, data)
     T = torsion_forms(A, data).T
     gamma = koszul_connection(A)
     phi_d = data.phi.dense()
@@ -112,18 +98,13 @@ def _sample_ricci(args: tuple[str, int, int]) -> dict[str, float]:
     }
 
 
-def _sample_bianchi(args: tuple[str, int, int]) -> dict[str, float]:
-    conv, seed, i = args
-    data = canonical_g2(conv)
-    A = random_sp(_rng(seed, i), data)
+def _sample_bianchi(data: G2Data, rng: np.random.Generator) -> dict[str, float]:
+    A = random_sp(rng, data)
     T = torsion_forms(A, data).T
     return {"bianchi": float(np.max(np.abs(bianchi_defect(T, A, data))))}
 
 
-def _sample_lie(args: tuple[str, int, int]) -> dict[str, float]:
-    conv, seed, i = args
-    data = canonical_g2(conv)
-    rng = _rng(seed, i)
+def _sample_lie(data: G2Data, rng: np.random.Generator) -> dict[str, float]:
     A = random_sp(rng, data)
     gamma = koszul_connection(A)
     T = torsion_forms(A, data).T
@@ -143,10 +124,8 @@ def _sample_lie(args: tuple[str, int, int]) -> dict[str, float]:
     }
 
 
-def _sample_skew(args: tuple[str, int, int]) -> dict[str, float]:
-    conv, seed, i = args
-    data = canonical_g2(conv)
-    A = random_sp_skew(_rng(seed, i), data)
+def _sample_skew(data: G2Data, rng: np.random.Generator) -> dict[str, float]:
+    A = random_sp_skew(rng, data)
     ok, residual = soliton.algebraic_check(A, data)
     c, _ = soliton.soliton_constants(A, data)
     out = {"skew_algebraic": residual if ok else np.inf}
@@ -156,22 +135,36 @@ def _sample_skew(args: tuple[str, int, int]) -> dict[str, float]:
     return out
 
 
-_SAMPLERS = {
-    "laplacian": _sample_laplacian,
-    "torsion": _sample_torsion,
-    "ricci": _sample_ricci,
-    "bianchi": _sample_bianchi,
-    "lie": _sample_lie,
+# suite -> (default tolerance, default samples, sampler); the appendix suite
+# runs the closed-form identity battery once instead of sampling. The order
+# is the check order of `verify --suite all`.
+SUITES = {
+    "appendix": (1e-12, 1, None),
+    "laplacian": (1e-10, 100, _sample_laplacian),
+    "torsion": (1e-10, 1000, _sample_torsion),
+    "ricci": (1e-10, 100, _sample_ricci),
+    "bianchi": (1e-10, 100, _sample_bianchi),
+    "lie": (1e-10, 100, _sample_lie),
 }
 
 
-def _run_sweep(fn, conv: str, seed: int, count: int, jobs: int) -> dict[str, float]:
-    tasks = [(conv, seed, i) for i in range(count)]
+def _sample(task: tuple) -> dict[str, float]:
+    """Run one (sampler, convention, seed, index) task with its own generator,
+    so the results do not depend on how --jobs splits the tasks."""
+    sampler, conv, seed, i = task
+    return sampler(canonical_g2(conv), np.random.default_rng((seed, i)))
+
+
+def _run_sweep(
+    sampler, conv: str, seed: int, count: int, jobs: int
+) -> dict[str, float]:
+    tasks = [(sampler, conv, seed, i) for i in range(count)]
     if jobs > 1:
+        chunk = max(1, count // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(fn, tasks, chunksize=max(1, count // (4 * jobs))))
+            results = list(pool.map(_sample, tasks, chunksize=chunk))
     else:
-        results = [fn(t) for t in tasks]
+        results = map(_sample, tasks)
     merged: dict[str, float] = {}
     for r in results:
         for k, v in r.items():
@@ -216,14 +209,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     data = canonical_g2(args.convention)
     checks: list[dict] = []
     for suite in suites:
-        default_tol, default_samples = SUITE_DEFAULTS[suite]
+        default_tol, default_samples, sampler = SUITES[suite]
         tol = _resolve_tol(args, default_tol)
-        if suite == "appendix":
+        if sampler is None:
             results = identity_suite(data)
         else:
             samples = args.samples if args.samples else default_samples
             results = _run_sweep(
-                _SAMPLERS[suite], args.convention, args.seed, samples, args.jobs
+                sampler, args.convention, args.seed, samples, args.jobs
             )
         checks.extend(_check(f"{suite}/{name}", r, tol) for name, r in results.items())
     all_ok = _print_checks(checks)
@@ -241,23 +234,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
-def _load_bracket(path: str) -> np.ndarray:
-    with open(path) as fh:
-        raw = json.load(fh)
-    return np.asarray(raw["A"], dtype=float).reshape(6, 6)
+def _read_bracket(path: str, data: G2Data) -> tuple[np.ndarray | None, int]:
+    """The symplectic 6x6 bracket in field A of a JSON file, as (A, 0); or
+    (None, exit code) with the reason on stderr: 2 unreadable, 3 not in sp."""
+    try:
+        with open(path) as fh:
+            A = np.asarray(json.load(fh)["A"], dtype=float).reshape(6, 6)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"cannot read bracket file {path}: {exc}", file=sys.stderr)
+        return None, 2
+    ok, drift = sp_check(A, data)
+    if not ok:
+        print(f"non-symplectic bracket: |AJ + JA^t| = {drift:.3e}", file=sys.stderr)
+        return None, 3
+    return A, 0
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
     data = canonical_g2(args.convention)
-    try:
-        A0 = _load_bracket(args.bracket)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"cannot read bracket file {args.bracket}: {exc}", file=sys.stderr)
-        return 2
-    ok, drift = sp_check(A0, data)
-    if not ok:
-        print(f"non-symplectic bracket: |AJ + JA^t| = {drift:.3e}", file=sys.stderr)
-        return 3
+    A0, code = _read_bracket(args.bracket, data)
+    if code:
+        return code
 
     backward = args.backward or args.t_end < 0
     opts = coflow.IntegratorOptions(
@@ -293,7 +290,9 @@ def cmd_flow(args: argparse.Namespace) -> int:
     if bound.get("skipped"):
         print(f"scalar bound skipped: {bound['reason']}")
     else:
-        gap = max(-bound["lower_gap"], bound["upper_gap"], 0.0)
+        # 0.0 first: max keeps the first of equal values, so a lower gap of
+        # exactly 0 (negated to -0.0) does not print as -0.000e+00
+        gap = max(0.0, -bound["lower_gap"], bound["upper_gap"])
         ok = bound["bound_ok"] and bound["R_increasing"]
         checks.append(_check("scalar_bound", gap, slack, ok))
 
@@ -310,9 +309,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
 
 def cmd_soliton(args: argparse.Namespace) -> int:
-    if args.action != "check":
-        print(f"unknown soliton action {args.action!r}", file=sys.stderr)
-        return 1
     tol = _resolve_tol(args, soliton.CERT_TOL)
 
     if args.skew_sweep:
@@ -350,15 +346,9 @@ def cmd_soliton(args: argparse.Namespace) -> int:
         return 0 if _print_checks(checks) else 1
 
     data = canonical_g2(args.convention)
-    try:
-        A = _load_bracket(args.bracket)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"cannot read bracket file {args.bracket}: {exc}", file=sys.stderr)
-        return 2
-    ok, drift = sp_check(A, data)
-    if not ok:
-        print(f"non-symplectic bracket: |AJ + JA^t| = {drift:.3e}", file=sys.stderr)
-        return 3
+    A, code = _read_bracket(args.bracket, data)
+    if code:
+        return code
     report = soliton.certify(A, data, tol)
     _emit_soliton_report(report, args.report)
     return 0
@@ -438,16 +428,18 @@ def _point(text: str) -> tuple[float, float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # flow reads only --convention; verify and soliton read all four
+    frame = argparse.ArgumentParser(add_help=False)
+    frame.add_argument(
         "--convention",
         choices=CONVENTIONS,
         default="section4",
         help="frame convention for the structure forms",
     )
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
-    common.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
-    common.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    sweep = argparse.ArgumentParser(add_help=False, parents=[frame])
+    sweep.add_argument("--tol", type=float, default=None, help="tolerance override")
+    sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
+    sweep.add_argument("--seed", type=int, default=0, help="base RNG seed")
 
     parser = argparse.ArgumentParser(
         prog="g2coflow",
@@ -455,12 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run identity suites")
-    p_verify.add_argument("--suite", choices=SUITES + ("all",), default="all")
+    p_verify = sub.add_parser("verify", parents=[sweep], help="run identity suites")
+    p_verify.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p_verify.add_argument("--samples", type=int, default=None)
     p_verify.add_argument("--report", default=None, help="write JSON report here")
 
-    p_flow = sub.add_parser("flow", parents=[common], help="integrate a bracket")
+    p_flow = sub.add_parser("flow", parents=[frame], help="integrate a bracket")
     p_flow.add_argument("--bracket", required=True, help="JSON file with field A")
     p_flow.add_argument("--t-end", type=float, default=10.0)
     p_flow.add_argument("--backward", action="store_true")
@@ -471,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--norm-ceiling", type=float, default=1e6)
     p_flow.add_argument("--out", default="flow_trace.csv")
 
-    p_sol = sub.add_parser("soliton", parents=[common], help="certify solitons")
+    p_sol = sub.add_parser("soliton", parents=[sweep], help="certify solitons")
     p_sol.add_argument("action", choices=("check",))
     group = p_sol.add_mutually_exclusive_group(required=True)
     group.add_argument("--example", help="shipped fixture name, e.g. nilpotent3")
@@ -479,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--skew-sweep", type=int, help="number of random skew brackets")
     p_sol.add_argument("--report", default=None, help="write SolitonReport JSON here")
 
-    p_phase = sub.add_parser("phase", parents=[common], help="planar phase data")
+    p_phase = sub.add_parser("phase", help="planar phase data")
     p_phase.add_argument("--xmin", type=float, default=-2.0)
     p_phase.add_argument("--xmax", type=float, default=2.0)
     p_phase.add_argument("--ymin", type=float, default=-2.0)
@@ -488,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_phase.add_argument("--trajectory", type=_point, help="start point 'x,y'")
     p_phase.add_argument("--trajectories", type=int, default=0, help="random starts")
     p_phase.add_argument("--t-end", type=float, default=5.0)
+    p_phase.add_argument("--seed", type=int, default=0, help="random-start seed")
     p_phase.add_argument("--nullclines", action="store_true")
     p_phase.add_argument("--out", default=None)
     return parser

@@ -577,13 +577,20 @@ def write_trace_csv(trace: FlowTrace, path: str) -> None:
             trace.steps,
         ]
     )
-    row = ",".join(["%.17g"] * len(_CSV_COLUMNS)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(_CSV_COLUMNS) + "\n")
-        fh.write((row * len(table)) % tuple(table.ravel().tolist()))
+    _write_table(path, _CSV_COLUMNS, table)
     with open(_meta_path(path), "w") as fh:
         json.dump(trace.meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_table(path: str, header, table) -> None:
+    """Header line plus one row of "%.17g" cells per table row: integral
+    values print as integers ("16") and non-finite ones as nan, inf, -inf."""
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write((row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _meta_path(path: str) -> str:

@@ -273,11 +273,7 @@ def interior(v: np.ndarray, a: KForm) -> KForm:
     if a.k == 0:
         raise ValueError("interior product of a 0-form is not defined")
     v = np.asarray(v, dtype=float).reshape(a.n)
-    dense = a.dense()
-    coeffs = np.array(
-        [v @ dense[(slice(None),) + idx] for idx in multi_indices(a.n, a.k - 1)]
-    )
-    return KForm(a.n, a.k - 1, coeffs)
+    return from_dense(a.n, a.k - 1, np.tensordot(v, a.dense(), axes=1))
 
 
 def form_inner(a: KForm, b: KForm, g: np.ndarray | None = None) -> float:
@@ -285,13 +281,8 @@ def form_inner(a: KForm, b: KForm, g: np.ndarray | None = None) -> float:
     a._check_compatible(b)
     if g is None:
         return float(a.coeffs @ b.coeffs)
-    if a.k == 0:
-        return float(a.coeffs[0] * b.coeffs[0])
     ginv = np.linalg.inv(np.asarray(g, dtype=float))
-    raised = b.dense()
-    for slot in range(b.k):
-        raised = np.moveaxis(np.tensordot(raised, ginv, axes=([slot], [0])), -1, slot)
-    return float(np.tensordot(a.dense(), raised, axes=b.k) / math.factorial(b.k))
+    return float(a.coeffs @ pullback(ginv, b).coeffs)
 
 
 def form_norm(a: KForm, g: np.ndarray | None = None) -> float:
@@ -315,11 +306,7 @@ def hodge_star(a: KForm, g: np.ndarray | None = None) -> KForm:
     scale = 1.0
     if g is not None:
         g = np.asarray(g, dtype=float)
-        ginv = np.linalg.inv(g)
-        raised = a.dense()
-        for slot in range(k):
-            raised = np.moveaxis(np.tensordot(raised, ginv, axes=([slot], [0])), -1, slot)
-        a = from_dense(n, k, raised)
+        a = pullback(np.linalg.inv(g), a)
         scale = math.sqrt(np.linalg.det(g))
     pos, sign = _star_table(n, k)
     coeffs = np.zeros(math.comb(n, n - k))

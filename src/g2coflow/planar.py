@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coflow import _dopri, rhs
+from .coflow import _dopri, _write_table, rhs
 from .g2 import G2Data
 
 __all__ = [
-    "PlanarState",
     "PhaseGrid",
     "embed",
     "planar_rhs",
@@ -41,12 +40,6 @@ __all__ = [
     "write_trajectory_csv",
     "FLAG_NAMES",
 ]
-
-
-@dataclass(frozen=True)
-class PlanarState:
-    x: float
-    y: float
 
 
 @dataclass(frozen=True)
@@ -228,23 +221,12 @@ _PHASE_COLUMNS = ("x", "y", "dx", "dy", "V", "Vdot", "H_defined", "logAbsH", "fl
 
 
 def write_phase_csv(rows: list[dict], path: str) -> None:
-    lines = [",".join(_PHASE_COLUMNS)]
-    for row in rows:
-        cells = []
-        for col in _PHASE_COLUMNS:
-            v = row[col]
-            cells.append(str(v) if isinstance(v, int) else f"{v:.17g}")
-        lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    table = [[row[c] for c in _PHASE_COLUMNS] for row in rows]
+    _write_table(path, _PHASE_COLUMNS, table)
 
 
 def write_trajectory_csv(
     ts: np.ndarray, xs: np.ndarray, ys: np.ndarray, path: str
 ) -> None:
-    lines = ["t,x,y,logAbsH"]
-    for t, x, y in zip(ts, xs, ys):
-        h = log_abs_h(x, y) if x != 0.0 and y != 0.0 else np.nan
-        lines.append(",".join(f"{v:.17g}" for v in (t, x, y, h)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    hs = [log_abs_h(x, y) if x != 0.0 and y != 0.0 else np.nan for x, y in zip(xs, ys)]
+    _write_table(path, ("t", "x", "y", "logAbsH"), np.column_stack([ts, xs, ys, hs]))

@@ -109,6 +109,16 @@ def test_flow_smoke_and_outputs(sp_bracket, tmp_path, capsys):
     assert "normSq_nonincreasing" in text
 
 
+def test_flow_scalar_bound_residual_is_not_negative_zero(sp_bracket, tmp_path, capsys):
+    # R(0) < 0 for this start, so the lower gap at t = 0 is exactly zero
+    out = tmp_path / "trace.csv"
+    argv = ["flow", "--bracket", sp_bracket, "--t-end", "1.0", "--out", str(out)]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert "PASS scalar_bound: residual=0.000e+00" in text
+    assert "-0.000e+00" not in text
+
+
 def test_flow_rejects_non_symplectic(tmp_path):
     bad = write_bracket(tmp_path / "bad.json", np.eye(6))
     assert main(["flow", "--bracket", bad, "--t-end", "1.0"]) == 3
@@ -309,3 +319,28 @@ def test_main_dispatches_through_module_namespace(monkeypatch):
     monkeypatch.setattr(cli, "cmd_phase", lambda args: seen.append(args.res) or 7)
     assert main(["phase", "--res", "3"]) == 7
     assert seen == [3]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flow", "--bracket", "b.json", "--tol", "1e-30"],
+        ["flow", "--bracket", "b.json", "--jobs", "7"],
+        ["flow", "--bracket", "b.json", "--seed", "99"],
+        ["phase", "--convention", "section4"],
+        ["phase", "--tol", "1"],
+        ["phase", "--jobs", "3"],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+def test_verify_and_soliton_take_the_sweep_flags(capsys):
+    flags = ["--convention", "example", "--tol", "1e-8", "--jobs", "1", "--seed", "3"]
+    assert main(["verify", "--suite", "appendix", *flags]) == 0
+    assert main(["soliton", "check", "--skew-sweep", "4", *flags]) == 0
+    assert "FAIL" not in capsys.readouterr().out

@@ -191,3 +191,39 @@ def test_trajectory_reproduces_scipy_rk45_bit_for_bit():
     assert np.array_equal(ts, ref.t)
     assert np.array_equal(xs, ref.y[0])
     assert np.array_equal(ys, ref.y[1])
+
+
+def reference_csv(header, rows):
+    """Per-cell writer: str() for integers, 17 significant digits otherwise."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = (str(v) if isinstance(v, int) else f"{v:.17g}" for v in row)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_phase_csv_matches_per_cell_writer(tmp_path):
+    columns = ("x", "y", "dx", "dy", "V", "Vdot", "H_defined", "logAbsH", "flags")
+    rows = phase_portrait(PhaseGrid(xmin=-1.0, xmax=1.0, ymin=-1.0, ymax=1.0, res=5))
+    h = [row["logAbsH"] for row in rows]
+    assert any(math.isnan(v) for v in h)  # the axes
+    assert -math.inf in h  # the line y = x
+    assert all(isinstance(row["flags"], int) for row in rows)
+    assert any(row["flags"] > 1 for row in rows)
+    path = tmp_path / "phase.csv"
+    write_phase_csv(rows, str(path))
+    assert path.read_text() == reference_csv(
+        columns, [[row[c] for c in columns] for row in rows]
+    )
+
+
+@pytest.mark.parametrize("start", [(1.0, 2.0), (0.0, 1.0), (1.0, 1.0)])
+def test_trajectory_csv_matches_per_cell_writer(tmp_path, start):
+    # an axis start has NaN log|H| throughout; a start on y = x has -inf
+    ts, xs, ys = integrate_trajectory(*start, 1.0)
+    hs = [log_abs_h(x, y) if x and y else math.nan for x, y in zip(xs, ys)]
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(ts, xs, ys, str(path))
+    assert path.read_text() == reference_csv(
+        ("t", "x", "y", "logAbsH"), zip(ts, xs, ys, hs)
+    )
