@@ -178,19 +178,33 @@ class SymbolQ:
         return _blockdiag(self.Qh, self.q)
 
 
-def _laplacian_symbol(A: np.ndarray, data: G2Data) -> tuple[np.ndarray, float]:
+def _symbol_workspace() -> tuple[np.ndarray, ...]:
+    """Buffers for z, z (x) z and w of _laplacian_symbol, with the views it
+    reads them through, for a caller that evaluates the symbol many times
+    (the flow right-hand sides)."""
+    z, zz, w = np.empty(21), np.empty(441), np.empty(37)
+    return z, z[:, None], zz, zz.reshape(21, 21), w, w[:36].reshape(6, 6)
+
+
+def _laplacian_symbol(
+    A: np.ndarray, data: G2Data, work: tuple[np.ndarray, ...] | None = None
+) -> tuple[np.ndarray, float]:
     """(Qh, q) of q_matrix without the sp(R^6) gate: the flow right-hand
     sides call this on every evaluation, with the bracket already checked
     once at the start.
 
     Evaluated as the precomputed quadratic form data._symbol_quadratic on
     the coordinates z = P vec(A), i.e. on the orthogonal projection of A
-    onto sp(R^6); on sp(R^6) it equals the closed form to rounding.
+    onto sp(R^6); on sp(R^6) it equals the closed form to rounding. z,
+    z (x) z and w = M (z (x) z) are written into work, a _symbol_workspace
+    (a fresh one when None); Qh is a view of w, valid until work is reused.
     """
     P, M = data._symbol_quadratic
-    z = P @ A.reshape(36)
-    w = M @ (z[:, None] * z).reshape(441)
-    return w[:36].reshape(6, 6), float(w[36])
+    z, z_col, zz, zz_mat, w, Qh = _symbol_workspace() if work is None else work
+    np.dot(P, A.reshape(36), z)
+    np.multiply(z_col, z, zz_mat)
+    np.dot(M, zz, w)
+    return Qh, float(w[36])
 
 
 def q_matrix(A: np.ndarray, data: G2Data) -> SymbolQ:

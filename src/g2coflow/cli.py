@@ -2,10 +2,12 @@
 certification, and phase-portrait export.
 
 Exit codes: 0 success, 1 failed identity or assertion (the offending
-residual is named on stdout), 2 unreadable input (a missing or malformed
-bracket file, an unknown --example fixture, a --trajectory that is not
-two numbers), integrator or output-write failure, 3 non-symplectic
-bracket input.
+residual is named on stdout; a NaN or infinite residual always fails),
+2 unreadable or out-of-range input (a missing or malformed bracket file,
+an unknown --example fixture, a --trajectory that is not two numbers, a
+count that is not a positive integer, a tolerance or horizon that is not
+a positive finite number, a phase grid below two points), integrator or
+output-write failure, 3 non-symplectic bracket input.
 
 Each subcommand takes only the flags it reads: verify and soliton take
 --convention, --tol, --jobs and --seed; flow takes --convention; phase
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -168,7 +171,7 @@ def _run_sweep(
     merged: dict[str, float] = {}
     for r in results:
         for k, v in r.items():
-            merged[k] = max(merged.get(k, 0.0), v)
+            merged[k] = coflow._worst(merged.get(k, 0.0), v)
     return merged
 
 
@@ -182,13 +185,14 @@ def _resolve_tol(args: argparse.Namespace, default: float) -> float:
 
 
 def _check(name: str, residual: float, tol: float, ok: bool | None = None) -> dict:
-    """One named check record; it passes when residual < tol unless ok is given."""
+    """One named check record; it passes when residual < tol unless ok is
+    given, and never with a NaN or infinite residual."""
     residual = float(residual)
     return {
         "name": name,
         "residual": residual,
         "tolerance": tol,
-        "pass": bool(residual < tol if ok is None else ok),
+        "pass": math.isfinite(residual) and bool(residual < tol if ok is None else ok),
     }
 
 
@@ -214,7 +218,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if sampler is None:
             results = identity_suite(data)
         else:
-            samples = args.samples if args.samples else default_samples
+            samples = args.samples or default_samples
             results = _run_sweep(
                 sampler, args.convention, args.seed, samples, args.jobs
             )
@@ -251,21 +255,24 @@ def _read_bracket(path: str, data: G2Data) -> tuple[np.ndarray | None, int]:
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
+    backward = args.backward or args.t_end < 0
+    try:
+        opts = coflow.IntegratorOptions(
+            rel_tol=args.rel_tol,
+            abs_tol=args.abs_tol,
+            max_step=args.max_step,
+            t_end=abs(args.t_end),
+            sp_drift_tol=args.sp_drift_tol,
+            direction="backward" if backward else "forward",
+            norm_ceiling=args.norm_ceiling,
+        )
+    except ValueError as exc:
+        print(f"invalid flow options: {exc}", file=sys.stderr)
+        return 2
     data = canonical_g2(args.convention)
     A0, code = _read_bracket(args.bracket, data)
     if code:
         return code
-
-    backward = args.backward or args.t_end < 0
-    opts = coflow.IntegratorOptions(
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        max_step=args.max_step,
-        t_end=abs(args.t_end),
-        sp_drift_tol=args.sp_drift_tol,
-        direction="backward" if backward else "forward",
-        norm_ceiling=args.norm_ceiling,
-    )
     try:
         trace = coflow.integrate(A0, opts, data)
     except coflow.IntegrationError as exc:
@@ -292,7 +299,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
     else:
         # 0.0 first: max keeps the first of equal values, so a lower gap of
         # exactly 0 (negated to -0.0) does not print as -0.000e+00
-        gap = max(0.0, -bound["lower_gap"], bound["upper_gap"])
+        gap = coflow._worst(0.0, -bound["lower_gap"], bound["upper_gap"])
         ok = bound["bound_ok"] and bound["R_increasing"]
         checks.append(_check("scalar_bound", gap, slack, ok))
 
@@ -311,7 +318,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
 def cmd_soliton(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args, soliton.CERT_TOL)
 
-    if args.skew_sweep:
+    if args.skew_sweep is not None:
         conv = args.convention
         merged = _run_sweep(_sample_skew, conv, args.seed, args.skew_sweep, args.jobs)
         checks = [
@@ -399,7 +406,12 @@ def cmd_phase(args: argparse.Namespace) -> int:
             print(f"wrote {out}")
             return 0
 
-        grid = planar.PhaseGrid(args.xmin, args.xmax, args.ymin, args.ymax, args.res)
+        bounds = (args.xmin, args.xmax, args.ymin, args.ymax)
+        try:
+            grid = planar.PhaseGrid(*bounds, args.res)
+        except ValueError as exc:
+            print(f"invalid phase grid: {exc}", file=sys.stderr)
+            return 2
         rows = planar.phase_portrait(grid)
         out = args.out or "phase_grid.csv"
         planar.write_phase_csv(rows, out)
@@ -409,7 +421,9 @@ def cmd_phase(args: argparse.Namespace) -> int:
             for i in range(args.trajectories):
                 x0, y0 = rng.uniform(0.5, 2.0, 2)
                 ts, xs, ys = planar.integrate_trajectory(x0, y0, args.t_end)
-                path = f"trajectory_seed{args.seed}_{i}.csv"
+                path = os.path.join(
+                    os.path.dirname(out), f"trajectory_seed{args.seed}_{i}.csv"
+                )
                 planar.write_trajectory_csv(ts, xs, ys, path)
                 print(f"wrote {path}")
         return 0
@@ -418,12 +432,41 @@ def cmd_phase(args: argparse.Namespace) -> int:
         return 2
 
 
+def _positive_count(text: str) -> int:
+    """An integer of at least 1; anything else is an argparse usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
+def _positive_finite(text: str) -> float:
+    """A finite float above 0; anything else is an argparse usage error."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not 0 < x < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number, got {text!r}"
+        )
+    return x
+
+
 def _point(text: str) -> tuple[float, float]:
-    """'x,y' as two floats; anything else is an argparse usage error."""
+    """'x,y' as two finite floats; anything else is an argparse usage error
+    (a NaN start would stall the stepper's step-size control)."""
     try:
         x, y = (float(v) for v in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'x,y', got {text!r}") from None
+        x = y = math.nan
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise argparse.ArgumentTypeError(
+            f"expected 'x,y' of two finite numbers, got {text!r}"
+        )
     return x, y
 
 
@@ -437,8 +480,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="frame convention for the structure forms",
     )
     sweep = argparse.ArgumentParser(add_help=False, parents=[frame])
-    sweep.add_argument("--tol", type=float, default=None, help="tolerance override")
-    sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
+    sweep.add_argument(
+        "--tol", type=_positive_finite, default=None, help="tolerance override"
+    )
+    sweep.add_argument(
+        "--jobs", type=_positive_count, default=1, help="parallel sweep workers"
+    )
     sweep.add_argument("--seed", type=int, default=0, help="base RNG seed")
 
     parser = argparse.ArgumentParser(
@@ -449,17 +496,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[sweep], help="run identity suites")
     p_verify.add_argument("--suite", choices=(*SUITES, "all"), default="all")
-    p_verify.add_argument("--samples", type=int, default=None)
+    p_verify.add_argument("--samples", type=_positive_count, default=None)
     p_verify.add_argument("--report", default=None, help="write JSON report here")
 
     p_flow = sub.add_parser("flow", parents=[frame], help="integrate a bracket")
     p_flow.add_argument("--bracket", required=True, help="JSON file with field A")
     p_flow.add_argument("--t-end", type=float, default=10.0)
     p_flow.add_argument("--backward", action="store_true")
-    p_flow.add_argument("--rel-tol", type=float, default=1e-9)
-    p_flow.add_argument("--abs-tol", type=float, default=1e-12)
+    p_flow.add_argument("--rel-tol", type=_positive_finite, default=1e-9)
+    p_flow.add_argument("--abs-tol", type=_positive_finite, default=1e-12)
     p_flow.add_argument("--max-step", type=float, default=np.inf)
-    p_flow.add_argument("--sp-drift-tol", type=float, default=1e-8)
+    p_flow.add_argument("--sp-drift-tol", type=_positive_finite, default=1e-8)
     p_flow.add_argument("--norm-ceiling", type=float, default=1e6)
     p_flow.add_argument("--out", default="flow_trace.csv")
 
@@ -468,7 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_sol.add_mutually_exclusive_group(required=True)
     group.add_argument("--example", help="shipped fixture name, e.g. nilpotent3")
     group.add_argument("--bracket", help="JSON file with field A")
-    group.add_argument("--skew-sweep", type=int, help="number of random skew brackets")
+    group.add_argument(
+        "--skew-sweep", type=_positive_count, help="number of random skew brackets"
+    )
     p_sol.add_argument("--report", default=None, help="write SolitonReport JSON here")
 
     p_phase = sub.add_parser("phase", help="planar phase data")
@@ -476,10 +525,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_phase.add_argument("--xmax", type=float, default=2.0)
     p_phase.add_argument("--ymin", type=float, default=-2.0)
     p_phase.add_argument("--ymax", type=float, default=2.0)
-    p_phase.add_argument("--res", type=int, default=101)
+    p_phase.add_argument("--res", type=_positive_count, default=101)
     p_phase.add_argument("--trajectory", type=_point, help="start point 'x,y'")
-    p_phase.add_argument("--trajectories", type=int, default=0, help="random starts")
-    p_phase.add_argument("--t-end", type=float, default=5.0)
+    p_phase.add_argument(
+        "--trajectories",
+        type=int,
+        default=0,
+        help="random starts, written as trajectory_seed{seed}_{i}.csv beside --out",
+    )
+    p_phase.add_argument("--t-end", type=_positive_finite, default=5.0)
     p_phase.add_argument("--seed", type=int, default=0, help="random-start seed")
     p_phase.add_argument("--nullclines", action="store_true")
     p_phase.add_argument("--out", default=None)

@@ -8,7 +8,14 @@ and A(t) = a(t)^{-1} k(t) A(0) k(t)^{-1} for h = blockdiag(k, a).
 
 Integration uses an in-house adaptive Dormand-Prince 5(4) pair, _dopri,
 whose step control follows scipy's RK45 exactly (same initial step, error
-norm and step factors, so the same accepted steps). No structure
+norm and step factors, so the same accepted steps). Its right-hand sides
+follow one protocol, fun(t, y, out): they write dy/dt into out, a row of
+the stepper's stage matrix, and return nothing. The stepper keeps its
+stage arguments and error terms in buffers allocated once per call, and
+the flow right-hand sides keep the symbol's workspace across calls, so a
+step allocates little beyond the new state that its sample keeps. Every
+floating-point operation is the one an allocating evaluation would make,
+in the same order, so the steps are bit-identical to scipy's. No structure
 projection is performed: symplectic drift is checked at every accepted
 step as an integrator health check and aborts the run beyond the
 configured tolerance, so an accuracy bug cannot hide behind a
@@ -33,6 +40,7 @@ import numpy as np
 from .almost_abelian import (
     _laplacian_symbol,
     _scalar_diagnostics_batch,
+    _symbol_workspace,
     require_sp,
 )
 from .exterior import KForm, form_norm, pullback
@@ -78,12 +86,18 @@ class IntegratorOptions:
     norm_ceiling: float = 1e6
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        finite = (self.rel_tol, self.abs_tol, self.sp_drift_tol, self.t_end)
+        if not all(math.isfinite(x) for x in finite):
+            raise ValueError("tolerances and t_end must be finite")
+        # not (x > 0) rather than x <= 0, so that NaN fails too
+        if not (self.rel_tol > 0 and self.abs_tol > 0 and self.sp_drift_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_step <= 0:
+        if not self.max_step > 0:
             raise ValueError("max_step must be positive")
-        if self.t_end <= 0:
+        if not self.t_end > 0:
             raise ValueError("t_end is a positive duration")
+        if not self.norm_ceiling > 0:
+            raise ValueError("norm_ceiling must be positive")
         if self.direction not in ("forward", "backward"):
             raise ValueError(f"unknown direction {self.direction!r}")
 
@@ -172,7 +186,8 @@ def _initial_step(fun, t0, y0, f0, t_bound, max_step, direction, rtol, atol):
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
+    f1 = np.empty_like(y0)
+    fun(t0 + h0 * direction, y0 + h0 * direction * f0, f1)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -190,7 +205,7 @@ def _interpolate(K: np.ndarray, t_old: float, h: float, y_old: np.ndarray, t):
 
 
 def _dopri(
-    fun: Callable[[float, np.ndarray], np.ndarray],
+    fun: Callable[[float, np.ndarray, np.ndarray], None],
     t0: float,
     y0: np.ndarray,
     t_bound: float,
@@ -201,9 +216,11 @@ def _dopri(
     event: Callable[[float, np.ndarray], float] | None = None,
     check: Callable[[float, np.ndarray], None] | None = None,
 ) -> _Solution:
-    """Adaptive Dormand-Prince 5(4) integration of dy/dt = fun(t, y).
+    """Adaptive Dormand-Prince 5(4) integration of dy/dt = f(t, y).
 
-    Step control is scipy's RK45: Hairer's initial step, RMS error norm
+    fun(t, y, out) writes f(t, y) into out, a row of the stage matrix, and
+    must not keep y, which may be a buffer the next stage overwrites. Step
+    control is scipy's RK45: Hairer's initial step, RMS error norm
     over atol + rtol max(|y|, |y_new|), safety 0.9, step factors in
     [0.2, 10], no growth right after a rejection, and a floor of ten ulps
     of t. Samples are the accepted steps, or the dense output at t_eval
@@ -216,14 +233,19 @@ def _dopri(
     direction = 1.0 if t_bound >= t0 else -1.0
     t = float(t0)
     y = np.array(y0, dtype=float)
-    f = fun(t, y)
+    K = np.empty((7, y.size))  # K[0] holds f(t, y) at the start of each step
+    stages = [(K[:s].T, a, c, K[s]) for s, (a, c) in enumerate(_DP_STAGES, start=1)]
+    fun(t, y, K[0])
     nfev = 1
     if t == t_bound:
         h_abs = 0.0
     else:
-        h_abs = _initial_step(fun, t, y, f, t_bound, max_step, direction, rtol, atol)
+        h_abs = _initial_step(fun, t, y, K[0], t_bound, max_step, direction, rtol, atol)
         nfev += 1
-    K = np.empty((7, y.size))
+    # stage argument, |y| (carried over from the accepted step), |y_new|,
+    # error scale and error estimate
+    arg, abs_y, abs_new, scale, err = np.empty((5, y.size))
+    np.abs(y, out=abs_y)
     if t_eval is None:
         ts, ys = [t], [y]
     else:
@@ -246,14 +268,23 @@ def _dopri(
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            K[0] = f
-            for s, (a, c) in enumerate(_DP_STAGES, start=1):
-                K[s] = fun(t + c * h, y + np.dot(K[:s].T, a) * h)
-            y_new = y + h * np.dot(K[:-1].T, _DP_B)
-            f_new = K[-1] = fun(t_new, y_new)
+            for K_before, a, c, K_s in stages:
+                np.dot(K_before, a, arg)
+                arg *= h
+                arg += y
+                fun(t + c * h, arg, K_s)
+            y_new = np.dot(K[:-1].T, _DP_B)  # a fresh array: the samples keep it
+            y_new *= h
+            y_new += y
+            fun(t_new, y_new, K[-1])
             nfev += 6
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(K.T, _DP_E) * h / scale)
+            np.maximum(abs_y, np.abs(y_new, out=abs_new), out=scale)
+            scale *= rtol
+            scale += atol
+            np.dot(K.T, _DP_E, err)
+            err *= h
+            err /= scale
+            error_norm = _rms(err)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -266,7 +297,8 @@ def _dopri(
         if status == -1:
             break
         t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
+        t, y = t_new, y_new
+        abs_y, abs_new = abs_new, abs_y
         if check is not None:
             check(t, y)
         if event is not None:
@@ -287,6 +319,7 @@ def _dopri(
                 i_eval = i_new
         if status == 1:
             break
+        K[0] = K[-1]
     if t_eval is None:
         t_out, y_out = np.array(ts), np.array(ys)
     elif ts:
@@ -313,20 +346,42 @@ def _event_root(event, K, t_old, t_new, y_old, g_old) -> float:
             b = m
 
 
-def _bracket_rhs(A: np.ndarray, Qh: np.ndarray, q: float) -> np.ndarray:
-    F = A @ Qh
-    F -= Qh @ A
-    F += q * A
-    return F
+def _worst(*values: float) -> float:
+    """max of the residuals, or NaN if any is NaN (Python's max(0.0, nan)
+    is 0.0)."""
+    return math.nan if any(v != v for v in values) else max(values)
 
 
-def _rhs_raw(A: np.ndarray, data: G2Data) -> np.ndarray:
-    return _bracket_rhs(A, *_laplacian_symbol(A, data))
+def _bracket_rhs(
+    A: np.ndarray, Qh: np.ndarray, q: float, F: np.ndarray, tmp: np.ndarray
+) -> None:
+    """F = A Qh - Qh A + q A, written into F; tmp is a 6x6 scratch buffer.
+    (np.dot makes matmul's BLAS call at a lower per-call cost.)"""
+    np.dot(A, Qh, F)
+    F -= np.dot(Qh, A, tmp)
+    F += np.multiply(A, q, tmp)
+
+
+def _flow_rhs(data: G2Data) -> Callable[[float, np.ndarray, np.ndarray], None]:
+    """fun(t, y, out) of the bracket flow on y = vec(A), for _dopri; the
+    symbol workspace and scratch buffer are allocated once, here."""
+    work = _symbol_workspace()
+    tmp = np.empty((6, 6))
+
+    def fun(t: float, y: np.ndarray, out: np.ndarray) -> None:
+        A = y.reshape(6, 6)
+        Qh, q = _laplacian_symbol(A, data, work)
+        _bracket_rhs(A, Qh, q, out.reshape(6, 6), tmp)
+
+    return fun
 
 
 def rhs(A: np.ndarray, data: G2Data) -> np.ndarray:
     """dA/dt = q_A A - [Q^h_A, A]; tangent to sp(R^6)."""
-    return _rhs_raw(require_sp(A, data), data)
+    A = require_sp(A, data)
+    F = np.empty((6, 6))
+    _bracket_rhs(A, *_laplacian_symbol(A, data), F, np.empty((6, 6)))
+    return F
 
 
 def norm_derivative(A: np.ndarray, data: G2Data) -> float:
@@ -352,11 +407,8 @@ def integrate(A0: np.ndarray, opts: IntegratorOptions, data: G2Data) -> FlowTrac
     A0 = require_sp(A0, data)
     D = data._sp_residual
 
-    def fun(t: float, y: np.ndarray) -> np.ndarray:
-        return _rhs_raw(y.reshape(6, 6), data).ravel()
-
     def drift_gate(t: float, y: np.ndarray) -> None:
-        drift = float(np.max(np.abs(D @ y)))
+        drift = abs(D @ y).max()
         if drift > opts.sp_drift_tol:
             raise IntegrationError(
                 f"symplectic drift {drift:.3e} exceeded {opts.sp_drift_tol:g} "
@@ -368,7 +420,7 @@ def integrate(A0: np.ndarray, opts: IntegratorOptions, data: G2Data) -> FlowTrac
 
     backward = opts.direction == "backward"
     sol = _dopri(
-        fun,
+        _flow_rhs(data),
         0.0,
         A0.ravel(),
         -opts.t_end if backward else opts.t_end,
@@ -457,17 +509,23 @@ def scalar_bound_check(trace: FlowTrace, slack: float = 1e-9) -> dict:
     }
 
 
-def _joint_rhs(y: np.ndarray, data: G2Data) -> np.ndarray:
-    A = y[:36].reshape(6, 6)
-    h = y[36:].reshape(DIM, DIM)
-    Qh, q = _laplacian_symbol(A, data)
-    out = np.empty_like(y)
-    out[:36] = _bracket_rhs(A, Qh, q).ravel()
-    # -Q h for Q = blockdiag(Qh, q), block by block
-    dh = out[36:].reshape(DIM, DIM)
-    dh[:6] = -Qh @ h[:6]
-    dh[6] = -q * h[6]
-    return out
+def _joint_rhs(data: G2Data) -> Callable[[float, np.ndarray, np.ndarray], None]:
+    """fun(t, y, out) of the joint flow of y = (vec A, vec h), for _dopri:
+    dA/dt as in _flow_rhs and dh/dt = -Q_A h."""
+    work = _symbol_workspace()
+    tmp = np.empty((6, 6))
+
+    def fun(t: float, y: np.ndarray, out: np.ndarray) -> None:
+        A = y[:36].reshape(6, 6)
+        h = y[36:].reshape(DIM, DIM)
+        Qh, q = _laplacian_symbol(A, data, work)
+        _bracket_rhs(A, Qh, q, out[:36].reshape(6, 6), tmp)
+        # -Q h for Q = blockdiag(Qh, q), block by block
+        dh = out[36:].reshape(DIM, DIM)
+        np.dot(np.negative(Qh, tmp), h[:6], dh[:6])
+        np.multiply(h[6], -q, dh[6])
+
+    return fun
 
 
 def reconstruct_h(
@@ -488,9 +546,7 @@ def reconstruct_h(
     ts = trace.ts[::-1] if backward else trace.ts
     A0 = trace.As[-1 if backward else 0]
     y0 = np.concatenate([A0.ravel(), np.eye(DIM).ravel()])
-    sol = _dopri(
-        lambda t, y: _joint_rhs(y, data), ts[0], y0, ts[-1], rel_tol, abs_tol, t_eval=ts
-    )
+    sol = _dopri(_joint_rhs(data), ts[0], y0, ts[-1], rel_tol, abs_tol, t_eval=ts)
     if sol.status != 0:
         raise IntegrationError(f"h-reconstruction failed: {sol.message}")
     hs = sol.y[:, 36:].reshape(-1, DIM, DIM)
@@ -536,7 +592,7 @@ def coflow_pde_residuals(
         raise ValueError("times must exceed the largest dt")
     y0 = np.concatenate([A0.ravel(), np.eye(DIM).ravel()])
     sol = _dopri(
-        lambda t, y: _joint_rhs(y, data), 0.0, y0, max(needed), rel_tol, abs_tol,
+        _joint_rhs(data), 0.0, y0, max(needed), rel_tol, abs_tol,
         t_eval=np.array(needed),
     )
     if sol.status != 0:
@@ -553,7 +609,7 @@ def coflow_pde_residuals(
             dpsi = (1.0 / (2.0 * dt)) * (psi_at(t + dt) - psi_at(t - dt))
             h = h_at[t]
             lap = hodge_laplacian(psi_at(t), A0, g=h.T @ h)
-            worst = max(worst, form_norm(dpsi - lap))
+            worst = _worst(worst, form_norm(dpsi - lap))
         out[dt] = worst
     return out
 

@@ -53,6 +53,8 @@ class PhaseGrid:
     def __post_init__(self) -> None:
         if self.res < 2:
             raise ValueError("resolution must be at least 2")
+        if not np.isfinite([self.xmin, self.xmax, self.ymin, self.ymax]).all():
+            raise ValueError("grid bounds must be finite")
         if self.xmax <= self.xmin or self.ymax <= self.ymin:
             raise ValueError("degenerate grid rectangle")
 
@@ -178,8 +180,12 @@ def integrate_trajectory(
     abs_tol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Planar trajectory sampled at the accepted steps."""
+
+    def fun(t: float, v: np.ndarray, out: np.ndarray) -> None:
+        out[0], out[1] = planar_rhs(v[0], v[1])
+
     sol = _dopri(
-        lambda t, v: np.array(planar_rhs(v[0], v[1])),
+        fun,
         0.0,
         np.array([x0, y0], dtype=float),
         t_end,

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.linalg import expm
 
 from .almost_abelian import _blockdiag, _laplacian_symbol, require_sp, torsion_forms
 from .exterior import form_norm, theta
@@ -350,8 +349,11 @@ def self_similar_bracket(
         raise ValueError(f"closed form undefined at t = {t:g} (1 - 2ct <= 0)")
     E = 0.5 * (D - D.T)
     s = t if c == 0.0 else -np.log(scale) / (2.0 * c)
-    rot = expm(s * E)
-    return scale**-0.5 * rot @ A @ expm(-s * E)
+    # i E is Hermitian: with i E = U diag(lam) U^H, e^{sE} = U diag(e^{-i s lam}) U^H
+    # is real, and e^{-sE} is its transpose because E is skew
+    lam, U = np.linalg.eigh(1j * E)
+    rot = ((U * np.exp(-1j * s * lam)) @ U.conj().T).real
+    return scale**-0.5 * rot @ A @ rot.T
 
 
 def load_example(name: str = "nilpotent3") -> dict:

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, reports, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -265,7 +266,7 @@ def test_phase_trajectory(tmp_path, capsys):
     assert "drift" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("point", ["1,2,3", "1", "1,x"])
+@pytest.mark.parametrize("point", ["1,2,3", "1", "1,x", "nan,1", "1,inf"])
 def test_phase_malformed_trajectory_exits_two(point, capsys):
     with pytest.raises(SystemExit) as err:
         main(["phase", "--trajectory", point])
@@ -344,3 +345,71 @@ def test_verify_and_soliton_take_the_sweep_flags(capsys):
     assert main(["verify", "--suite", "appendix", *flags]) == 0
     assert main(["soliton", "check", "--skew-sweep", "4", *flags]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_nan_sample_residual_fails_the_sweep(monkeypatch, capsys):
+    tol, count, _ = cli.SUITES["ricci"]
+    nan_sampler = lambda data, rng: {"ricci_torsion_form": math.nan}  # noqa: E731
+    monkeypatch.setitem(cli.SUITES, "ricci", (tol, count, nan_sampler))
+    assert main(["verify", "--suite", "ricci", "--samples", "3"]) == 1
+    assert "FAIL ricci/ricci_torsion_form: residual=nan" in capsys.readouterr().out
+
+
+def test_flow_nan_scalar_bound_gap_fails(monkeypatch, sp_bracket, tmp_path, capsys):
+    bound = {
+        "skipped": False,
+        "bound_ok": True,
+        "lower_gap": math.nan,
+        "upper_gap": 0.0,
+        "R_increasing": True,
+        "torsion_decreasing": True,
+    }
+    monkeypatch.setattr(cli.coflow, "scalar_bound_check", lambda trace: bound)
+    out = str(tmp_path / "trace.csv")
+    assert main(["flow", "--bracket", sp_bracket, "--t-end", "1.0", "--out", out]) == 1
+    assert "FAIL scalar_bound: residual=nan" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("residual", [math.nan, math.inf])
+def test_check_fails_non_finite_residual(residual):
+    assert cli._check("c", residual, 1.0)["pass"] is False
+    assert cli._check("c", residual, 1.0, ok=True)["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["flow", "--t-end", "nan"], "t_end must be finite"),
+        (["flow", "--t-end", "0"], "t_end is a positive duration"),
+        (["flow", "--rel-tol", "-1"], "expected a positive finite number, got '-1'"),
+        (["phase", "--res", "1"], "resolution must be at least 2"),
+        (["phase", "--xmax", "nan"], "grid bounds must be finite"),
+        (["verify", "--samples", "-1"], "expected a positive integer, got '-1'"),
+        (["verify", "--samples", "0"], "expected a positive integer, got '0'"),
+        (["soliton", "check", "--skew-sweep", "0"], "expected a positive integer"),
+    ],
+)
+def test_bad_numeric_input_exits_two(
+    argv, message, sp_bracket, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "flow":
+        argv = [*argv, "--bracket", sp_bracket]
+    code, out, err = run_main(argv, capsys)
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err and "PASS" not in out
+
+
+def test_phase_trajectories_land_beside_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "sub" / "grid.csv"
+    out.parent.mkdir()
+    argv = ["phase", "--res", "5", "--trajectories", "2", "--seed", "5", "--t-end", "1"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.parent.iterdir()) == [
+        "grid.csv",
+        "trajectory_seed5_0.csv",
+        "trajectory_seed5_1.csv",
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]

@@ -186,8 +186,12 @@ def test_trajectory_reproduces_scipy_rk45_bit_for_bit():
     def fun(t, v):
         return np.array(planar_rhs(v[0], v[1]))
 
+    def fun_into(t, v, out):
+        out[:] = fun(t, v)
+
     ref = solve_ivp(fun, (0.0, 5.0), [1.0, 2.0], method="RK45", rtol=1e-9, atol=1e-12)
-    assert _dopri(fun, 0.0, np.array([1.0, 2.0]), 5.0, 1e-9, 1e-12).nfev == ref.nfev
+    sol = _dopri(fun_into, 0.0, np.array([1.0, 2.0]), 5.0, 1e-9, 1e-12)
+    assert sol.nfev == ref.nfev
     assert np.array_equal(ts, ref.t)
     assert np.array_equal(xs, ref.y[0])
     assert np.array_equal(ys, ref.y[1])
