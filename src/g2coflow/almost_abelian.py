@@ -32,7 +32,6 @@ __all__ = [
     "torsion_forms",
     "torsion_from_nabla_phi",
     "t_circ_t",
-    "SymbolQ",
     "q_matrix",
     "ricci_closed",
     "scalar_diagnostics",
@@ -166,18 +165,6 @@ def t_circ_t(A: np.ndarray, data: G2Data) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class SymbolQ:
-    """Laplacian symbol: Delta psi = theta(Q) psi with Q = blockdiag(Qh, q)."""
-
-    Qh: np.ndarray
-    q: float
-
-    @property
-    def Q(self) -> np.ndarray:
-        return _blockdiag(self.Qh, self.q)
-
-
 def _symbol_workspace() -> tuple[np.ndarray, ...]:
     """Buffers for z, z (x) z and w of _laplacian_symbol, with the views it
     reads them through, for a caller that evaluates the symbol many times
@@ -207,10 +194,10 @@ def _laplacian_symbol(
     return Qh, float(w[36])
 
 
-def q_matrix(A: np.ndarray, data: G2Data) -> SymbolQ:
-    """Qh = (1/2)[A,A^t] + (1/2) S o6 S, q = -(1/2) tr S^2 - (1/4)(tr JA)^2."""
-    Qh, q = _laplacian_symbol(require_sp(A, data), data)
-    return SymbolQ(Qh=Qh, q=q)
+def q_matrix(A: np.ndarray, data: G2Data) -> np.ndarray:
+    """Laplacian symbol Q_A = blockdiag(Qh, q), Delta psi = theta(Q_A) psi:
+    Qh = (1/2)[A,A^t] + (1/2) S o6 S, q = -(1/2) tr S^2 - (1/4)(tr JA)^2."""
+    return _blockdiag(*_laplacian_symbol(require_sp(A, data), data))
 
 
 def ricci_closed(A: np.ndarray, data: G2Data) -> tuple[np.ndarray, float]:

@@ -5,9 +5,11 @@ Exit codes: 0 success, 1 failed identity or assertion (the offending
 residual is named on stdout; a NaN or infinite residual always fails),
 2 unreadable or out-of-range input (a missing or malformed bracket file,
 an unknown --example fixture, a --trajectory that is not two numbers, a
-count that is not a positive integer, a tolerance or horizon that is not
-a positive finite number, a phase grid below two points), integrator or
-output-write failure, 3 non-symplectic bracket input.
+count that is not a positive integer, a --seed or --trajectories that is
+not a non-negative integer, a tolerance (G2COFLOW_TOL included) or
+horizon that is not a positive finite number, a phase grid below two
+points or with non-finite or empty bounds, in every phase mode),
+integrator or output-write failure, 3 non-symplectic bracket input.
 
 Each subcommand takes only the flags it reads: verify and soliton take
 --convention, --tol, --jobs and --seed; flow takes --convention; phase
@@ -69,7 +71,7 @@ from .metric_lie import (
 
 def _sample_laplacian(data: G2Data, rng: np.random.Generator) -> dict[str, float]:
     A = random_sp(rng, data)
-    gap = theta(q_matrix(A, data).Q, data.psi) - hodge_laplacian(data.psi, A)
+    gap = theta(q_matrix(A, data), data.psi) - hodge_laplacian(data.psi, A)
     return {"laplacian_oracle": float(np.max(np.abs(gap.dense())))}
 
 
@@ -175,15 +177,6 @@ def _run_sweep(
     return merged
 
 
-def _resolve_tol(args: argparse.Namespace, default: float) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("G2COFLOW_TOL")
-    if env:
-        return float(env)
-    return default
-
-
 def _check(name: str, residual: float, tol: float, ok: bool | None = None) -> dict:
     """One named check record; it passes when residual < tol unless ok is
     given, and never with a NaN or infinite residual."""
@@ -214,7 +207,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks: list[dict] = []
     for suite in suites:
         default_tol, default_samples, sampler = SUITES[suite]
-        tol = _resolve_tol(args, default_tol)
+        tol = default_tol if args.tol is None else args.tol
         if sampler is None:
             results = identity_suite(data)
         else:
@@ -316,7 +309,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
 
 def cmd_soliton(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args, soliton.CERT_TOL)
+    tol = soliton.CERT_TOL if args.tol is None else args.tol
 
     if args.skew_sweep is not None:
         conv = args.convention
@@ -376,8 +369,13 @@ def _emit_soliton_report(report: soliton.SolitonReport, path: str | None) -> Non
 
 def cmd_phase(args: argparse.Namespace) -> int:
     try:
+        grid = planar.PhaseGrid(args.xmin, args.xmax, args.ymin, args.ymax, args.res)
+    except ValueError as exc:
+        print(f"invalid phase grid: {exc}", file=sys.stderr)
+        return 2
+    try:
         if args.nullclines:
-            lines = planar.nullclines(args.xmin, args.xmax, args.res)
+            lines = planar.nullclines(grid.xmin, grid.xmax, grid.res)
             out = args.out or "nullclines.csv"
             rows = ["line,x,y"]
             for name, pts in lines.items():
@@ -406,12 +404,6 @@ def cmd_phase(args: argparse.Namespace) -> int:
             print(f"wrote {out}")
             return 0
 
-        bounds = (args.xmin, args.xmax, args.ymin, args.ymax)
-        try:
-            grid = planar.PhaseGrid(*bounds, args.res)
-        except ValueError as exc:
-            print(f"invalid phase grid: {exc}", file=sys.stderr)
-            return 2
         rows = planar.phase_portrait(grid)
         out = args.out or "phase_grid.csv"
         planar.write_phase_csv(rows, out)
@@ -432,15 +424,20 @@ def cmd_phase(args: argparse.Namespace) -> int:
         return 2
 
 
-def _positive_count(text: str) -> int:
-    """An integer of at least 1; anything else is an argparse usage error."""
+def _count(text: str, least: int) -> int:
+    """An integer >= least; anything else is an argparse usage error."""
     try:
         n = int(text)
     except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        n = least - 1
+    if n < least:
+        kind = "positive" if least else "non-negative"
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
     return n
+
+
+_positive_count = functools.partial(_count, least=1)
+_nonnegative_count = functools.partial(_count, least=0)
 
 
 def _positive_finite(text: str) -> float:
@@ -486,7 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--jobs", type=_positive_count, default=1, help="parallel sweep workers"
     )
-    sweep.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    sweep.add_argument(
+        "--seed", type=_nonnegative_count, default=0, help="base RNG seed"
+    )
 
     parser = argparse.ArgumentParser(
         prog="g2coflow",
@@ -529,12 +528,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_phase.add_argument("--trajectory", type=_point, help="start point 'x,y'")
     p_phase.add_argument(
         "--trajectories",
-        type=int,
+        type=_nonnegative_count,
         default=0,
         help="random starts, written as trajectory_seed{seed}_{i}.csv beside --out",
     )
     p_phase.add_argument("--t-end", type=_positive_finite, default=5.0)
-    p_phase.add_argument("--seed", type=int, default=0, help="random-start seed")
+    p_phase.add_argument(
+        "--seed", type=_nonnegative_count, default=0, help="random-start seed"
+    )
     p_phase.add_argument("--nullclines", action="store_true")
     p_phase.add_argument("--out", default=None)
     return parser
@@ -547,7 +548,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    # G2COFLOW_TOL stands in for an unset --tol, read per call, same type
+    env = os.environ.get("G2COFLOW_TOL")
+    if env and getattr(args, "tol", False) is None:
+        try:
+            args.tol = _positive_finite(env)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"environment variable G2COFLOW_TOL: {exc}")
     # looked up at call time, so a rebound cmd_* (wrapped or patched) runs
     return globals()[f"cmd_{args.command}"](args)
 

@@ -7,19 +7,19 @@ with h(0) = I: psi(t) = pullback(h(t), psi) solves d/dt psi = Delta psi,
 and A(t) = a(t)^{-1} k(t) A(0) k(t)^{-1} for h = blockdiag(k, a).
 
 Integration uses an in-house adaptive Dormand-Prince 5(4) pair, _dopri,
-whose step control follows scipy's RK45 exactly (same initial step, error
-norm and step factors, so the same accepted steps). Its right-hand sides
-follow one protocol, fun(t, y, out): they write dy/dt into out, a row of
-the stepper's stage matrix, and return nothing. The stepper keeps its
-stage arguments and error terms in buffers allocated once per call, and
-the flow right-hand sides keep the symbol's workspace across calls, so a
-step allocates little beyond the new state that its sample keeps. Every
-floating-point operation is the one an allocating evaluation would make,
-in the same order, so the steps are bit-identical to scipy's. No structure
-projection is performed: symplectic drift is checked at every accepted
-step as an integrator health check and aborts the run beyond the
-configured tolerance, so an accuracy bug cannot hide behind a
-re-projection.
+whose step control follows scipy's RK45 exactly (same initial step,
+error norm and step factors, so the same accepted steps). Its right-hand
+sides follow one protocol, fun(t, y, out): they write dy/dt into out, a
+row of the stepper's stage matrix; the stepper ignores what they return
+and keeps its stage arguments and error terms in buffers allocated once
+per call, and the flow right-hand sides keep the symbol's workspace
+across calls, so a step allocates little beyond the new state that its
+sample keeps. Every floating-point operation is the one an allocating
+evaluation would make, in the same order, so the steps are bit-identical
+to scipy's. No structure projection is performed: symplectic drift is
+checked at every accepted step as an integrator health check and aborts
+the run beyond the configured tolerance, so an accuracy bug cannot hide
+behind a re-projection.
 
 The symbol (Q^h_A, q_A) is a quadratic form evaluated on the coordinates
 of the orthogonal projection of A onto sp(R^6) (see
@@ -260,7 +260,7 @@ def _dopri(
         h_abs = min(max(h_abs, min_step), max_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a NaN step ends the run too
                 status = -1
                 break
             t_new = t + h_abs * direction
@@ -362,16 +362,18 @@ def _bracket_rhs(
     F += np.multiply(A, q, tmp)
 
 
-def _flow_rhs(data: G2Data) -> Callable[[float, np.ndarray, np.ndarray], None]:
+def _flow_rhs(data: G2Data) -> Callable[[float, np.ndarray, np.ndarray], tuple]:
     """fun(t, y, out) of the bracket flow on y = vec(A), for _dopri; the
-    symbol workspace and scratch buffer are allocated once, here."""
+    symbol workspace and scratch buffer are allocated once, here. fun
+    returns the symbol (Qh, q) it evaluated, Qh valid until its next call."""
     work = _symbol_workspace()
     tmp = np.empty((6, 6))
 
-    def fun(t: float, y: np.ndarray, out: np.ndarray) -> None:
+    def fun(t: float, y: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, float]:
         A = y.reshape(6, 6)
         Qh, q = _laplacian_symbol(A, data, work)
         _bracket_rhs(A, Qh, q, out.reshape(6, 6), tmp)
+        return Qh, q
 
     return fun
 
@@ -511,15 +513,13 @@ def scalar_bound_check(trace: FlowTrace, slack: float = 1e-9) -> dict:
 
 def _joint_rhs(data: G2Data) -> Callable[[float, np.ndarray, np.ndarray], None]:
     """fun(t, y, out) of the joint flow of y = (vec A, vec h), for _dopri:
-    dA/dt as in _flow_rhs and dh/dt = -Q_A h."""
-    work = _symbol_workspace()
+    dA/dt by _flow_rhs and dh/dt = -Q_A h with the symbol it returns."""
+    flow = _flow_rhs(data)
     tmp = np.empty((6, 6))
 
     def fun(t: float, y: np.ndarray, out: np.ndarray) -> None:
-        A = y[:36].reshape(6, 6)
+        Qh, q = flow(t, y[:36], out[:36])
         h = y[36:].reshape(DIM, DIM)
-        Qh, q = _laplacian_symbol(A, data, work)
-        _bracket_rhs(A, Qh, q, out[:36].reshape(6, 6), tmp)
         # -Q h for Q = blockdiag(Qh, q), block by block
         dh = out[36:].reshape(DIM, DIM)
         np.dot(np.negative(Qh, tmp), h[:6], dh[:6])
@@ -528,28 +528,27 @@ def _joint_rhs(data: G2Data) -> Callable[[float, np.ndarray, np.ndarray], None]:
     return fun
 
 
-def reconstruct_h(
-    trace: FlowTrace,
-    data: G2Data,
-    rel_tol: float | None = None,
-    abs_tol: float | None = None,
-) -> np.ndarray:
+def _joint_h(A0: np.ndarray, ts: np.ndarray, data: G2Data, rtol: float, atol: float):
+    """h(t) at each of ts (ordered in the direction of integration) of the
+    joint flow of (A, h) from (A0, I) at ts[0], as an (n, 7, 7) stack."""
+    y0 = np.concatenate([A0.ravel(), np.eye(DIM).ravel()])
+    sol = _dopri(_joint_rhs(data), ts[0], y0, ts[-1], rtol, atol, t_eval=ts)
+    if sol.status != 0:
+        raise IntegrationError(f"joint (A, h) integration failed: {sol.message}")
+    return sol.y[:, 36:].reshape(-1, DIM, DIM)
+
+
+def reconstruct_h(trace: FlowTrace, data: G2Data) -> np.ndarray:
     """h(t) with dh/dt = -Q_{A(t)} h, h(0) = I, on the trace's time grid.
 
-    Integrated jointly with the bracket flow so Q is evaluated on the
-    matching trajectory rather than interpolated.
+    Integrated jointly with the bracket flow, at the trace's tolerances, so
+    Q is evaluated on the matching trajectory rather than interpolated.
     """
     opts = trace.meta["options"]
-    rel_tol = opts["rel_tol"] if rel_tol is None else rel_tol
-    abs_tol = opts["abs_tol"] if abs_tol is None else abs_tol
     backward = opts["direction"] == "backward"
     ts = trace.ts[::-1] if backward else trace.ts
     A0 = trace.As[-1 if backward else 0]
-    y0 = np.concatenate([A0.ravel(), np.eye(DIM).ravel()])
-    sol = _dopri(_joint_rhs(data), ts[0], y0, ts[-1], rel_tol, abs_tol, t_eval=ts)
-    if sol.status != 0:
-        raise IntegrationError(f"h-reconstruction failed: {sol.message}")
-    hs = sol.y[:, 36:].reshape(-1, DIM, DIM)
+    hs = _joint_h(A0, ts, data, opts["rel_tol"], opts["abs_tol"])
     return hs[::-1] if backward else hs
 
 
@@ -590,14 +589,7 @@ def coflow_pde_residuals(
     needed = sorted({0.0} | {t + s * dt for t in times for dt in dts for s in (-1, 0, 1)})
     if min(needed) < 0:
         raise ValueError("times must exceed the largest dt")
-    y0 = np.concatenate([A0.ravel(), np.eye(DIM).ravel()])
-    sol = _dopri(
-        _joint_rhs(data), 0.0, y0, max(needed), rel_tol, abs_tol,
-        t_eval=np.array(needed),
-    )
-    if sol.status != 0:
-        raise IntegrationError(f"pde-check integration failed: {sol.message}")
-    h_at = {t: sol.y[i, 36:].reshape(DIM, DIM) for i, t in enumerate(needed)}
+    h_at = dict(zip(needed, _joint_h(A0, np.array(needed), data, rel_tol, abs_tol)))
 
     def psi_at(t: float) -> KForm:
         return pullback(h_at[t], data.psi)

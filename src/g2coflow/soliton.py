@@ -96,7 +96,7 @@ def _symbol_terms(
     A: np.ndarray, data: G2Data
 ) -> tuple[np.ndarray, np.ndarray, float, float, float]:
     """(A, Qh, q, c, d) for a nonzero sp bracket, read off the Laplacian
-    symbol Q_A = blockdiag(Qh, q).
+    symbol Q_A = blockdiag(Qh, q); the certificate stages take this record.
 
     Since 2 Qh = [A,A^t] + S o6 S, d = <Qh, [A,A^t]> / |A|^2, and c = q - d.
     """
@@ -115,6 +115,20 @@ def soliton_constants(A: np.ndarray, data: G2Data) -> tuple[float, float]:
     return c, d
 
 
+def _algebraic(terms: tuple, tol: float) -> tuple:
+    """(residual, D, derivation defect of D and D^t) of algebraic_check on
+    _symbol_terms, with D = Q_A - cI; D is None unless the check passes."""
+    A, Qh, q, c, d = terms
+    M = 2.0 * Qh
+    residual = float(np.max(np.abs((M @ A - A @ M) - 2.0 * d * A)))
+    if residual >= tol:
+        return residual, None, None
+    D = _blockdiag(Qh - c * np.eye(6), q - c)
+    derivation = max(derivation_residual(D, A), derivation_residual(D.T, A))
+    residual = max(residual, derivation)
+    return residual, D if residual < tol else None, derivation
+
+
 def algebraic_check(
     A: np.ndarray, data: G2Data, tol: float = CERT_TOL
 ) -> tuple[bool, float]:
@@ -123,27 +137,12 @@ def algebraic_check(
     The reported residual is the worst of the commutator equation and,
     when it passes, the derivation defects of D = Q_A - cI and D^t.
     """
-    A, Qh, q, c, d = _symbol_terms(A, data)
-    M = 2.0 * Qh
-    residual = float(np.max(np.abs((M @ A - A @ M) - 2.0 * d * A)))
-    if residual >= tol:
-        return False, residual
-    D = _blockdiag(Qh - c * np.eye(6), q - c)
-    residual = max(
-        residual, derivation_residual(D, A), derivation_residual(D.T, A)
-    )
+    residual = _algebraic(_symbol_terms(A, data), tol)[0]
     return residual < tol, residual
 
 
-def semi_algebraic_check(
-    A: np.ndarray, D1: np.ndarray, data: G2Data, tol: float = CERT_TOL
-) -> tuple[bool, dict]:
-    """Residuals of the semi-algebraic system for a candidate D1.
-
-    derivation: [D1, A] - dA; matrix_eq: [A,A^t] + S o6 S - (2c I + D1 +
-    D1^t); symbol: Q_A - (c I_7 + (1/2)(D + D^t)) for D = blockdiag(D1, d).
-    """
-    A, Qh, q, c, d = _symbol_terms(A, data)
+def _semi_algebraic(terms: tuple, D1: np.ndarray, tol: float) -> tuple[bool, dict]:
+    A, Qh, q, c, d = terms
     D1 = np.asarray(D1, dtype=float).reshape(6, 6)
     D = _blockdiag(D1, d)
     residuals = {
@@ -158,19 +157,19 @@ def semi_algebraic_check(
     return all(v < tol for v in residuals.values()), residuals
 
 
-def find_derivation(
-    A: np.ndarray, d: float, data: G2Data, tol: float = CERT_TOL
-) -> tuple[np.ndarray | None, dict]:
-    """Least-squares search for D1 with [D1, A] = dA and prescribed
-    symmetric part D1 + D1^t = [A,A^t] + S o6 S - 2cI.
+def semi_algebraic_check(
+    A: np.ndarray, D1: np.ndarray, data: G2Data, tol: float = CERT_TOL
+) -> tuple[bool, dict]:
+    """Residuals of the semi-algebraic system for a candidate D1.
 
-    The constraints only see the symmetric part and the commutator, so the
-    skew part carries gauge freedom; among exact solutions the one whose
-    skew part has the smallest phi-contraction (the rotation that fixes
-    psi) is returned, which is what the PDE check needs. Returns None when
-    the best residual exceeds tol.
+    derivation: [D1, A] - dA; matrix_eq: [A,A^t] + S o6 S - (2c I + D1 +
+    D1^t); symbol: Q_A - (c I_7 + (1/2)(D + D^t)) for D = blockdiag(D1, d).
     """
-    A, Qh, _, c, d_check = _symbol_terms(A, data)
+    return _semi_algebraic(_symbol_terms(A, data), D1, tol)
+
+
+def _search(terms: tuple, data: G2Data, tol: float) -> tuple[np.ndarray | None, dict]:
+    A, Qh, _, c, d = terms
     target = 2.0 * Qh - 2.0 * c * np.eye(6)
 
     # On row-major vec(D1): vec(D1 A - A D1) = (I (x) A^t - A (x) I) vec(D1)
@@ -180,7 +179,7 @@ def find_derivation(
 
     x0, *_ = np.linalg.lstsq(P, b, rcond=None)
     residual = float(np.max(np.abs(P @ x0 - b)))
-    report = {"residual": residual, "d_gap": abs(d - d_check)}
+    report = {"residual": residual}
     if residual >= tol:
         return None, report
 
@@ -197,6 +196,21 @@ def find_derivation(
     report["nullity"] = int(N.shape[1]) if N.size else 0
     report["gauge_residual"] = float(np.max(np.abs(G @ x0)))
     return x0.reshape(6, 6), report
+
+
+def find_derivation(
+    A: np.ndarray, data: G2Data, tol: float = CERT_TOL
+) -> tuple[np.ndarray | None, dict]:
+    """Least-squares search for D1 with [D1, A] = dA and prescribed
+    symmetric part D1 + D1^t = [A,A^t] + S o6 S - 2cI.
+
+    The constraints only see the symmetric part and the commutator, so the
+    skew part carries gauge freedom; among exact solutions the one whose
+    skew part has the smallest phi-contraction (the rotation that fixes
+    psi) is returned, which is what the PDE check needs. Returns None when
+    the best residual exceeds tol.
+    """
+    return _search(_symbol_terms(A, data), data, tol)
 
 
 def soliton_pde_check(
@@ -284,24 +298,19 @@ def expanding_only_audit(report: SolitonReport, data: G2Data, tol: float = CERT_
 
 def certify(A: np.ndarray, data: G2Data, tol: float = CERT_TOL) -> SolitonReport:
     """Full pipeline: constants, algebraic check, derivation search,
-    PDE and trace-identity residuals."""
-    A, Qh, q, c, d = _symbol_terms(A, data)
-    residuals: dict = {}
-
-    alg_ok, alg_res = algebraic_check(A, data, tol)
-    residuals["algebraic_eq"] = alg_res
-    D: np.ndarray | None = None
-    if alg_ok:
+    PDE and trace-identity residuals, all stages on one _symbol_terms
+    record (one sp gate and one symbol evaluation per certificate)."""
+    A, _, _, c, d = terms = _symbol_terms(A, data)
+    alg_res, D, derivation = _algebraic(terms, tol)
+    residuals: dict = {"algebraic_eq": alg_res}
+    if D is not None:
         kind = "algebraic"
-        D = _blockdiag(Qh - c * np.eye(6), q - c)
-        residuals["derivation"] = max(
-            derivation_residual(D, A), derivation_residual(D.T, A)
-        )
+        residuals["derivation"] = derivation
         residuals["soliton_eq"] = alg_res
     else:
-        D1, search = find_derivation(A, d, data, tol)
+        D1, search = _search(terms, data, tol)
         if D1 is not None:
-            ok, semi_res = semi_algebraic_check(A, D1, data, tol)
+            ok, semi_res = _semi_algebraic(terms, D1, tol)
             if ok:
                 kind = "semi_algebraic"
                 D = _blockdiag(D1, d)

@@ -100,7 +100,7 @@ def test_criterion_02_laplacian_symbol_oracle():
         for _ in range(50):
             A = random_sp(rng, data)
             gap = form_norm(
-                theta(q_matrix(A, data).Q, data.psi) - hodge_laplacian(data.psi, A)
+                theta(q_matrix(A, data), data.psi) - hodge_laplacian(data.psi, A)
             )
             worst = max(worst, gap)
     elapsed = time.monotonic() - start

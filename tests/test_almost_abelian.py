@@ -119,8 +119,7 @@ def test_laplacian_symbol_matches_hodge(convention):
     local = np.random.default_rng((20240819, hash(convention) % 2**16))
     for _ in range(10):
         A = random_sp(local, data)
-        sym = q_matrix(A, data)
-        gap = theta(sym.Q, data.psi) - hodge_laplacian(data.psi, A)
+        gap = theta(q_matrix(A, data), data.psi) - hodge_laplacian(data.psi, A)
         assert form_norm(gap) < 1e-11
 
 
@@ -180,8 +179,7 @@ def test_su3_brackets_are_torsion_free():
     pack = torsion_forms(A, data)
     assert np.max(np.abs(pack.T)) < 1e-13
     assert form_norm(hodge_laplacian(data.psi, A)) < 1e-11
-    sym = q_matrix(A, data)
-    assert np.max(np.abs(sym.Q)) < 1e-13
+    assert np.max(np.abs(q_matrix(A, data))) < 1e-13
 
 
 def test_fixture_diagnostics():
@@ -196,11 +194,11 @@ def test_fixture_diagnostics():
     assert abs(diag["torsionNormSq"] - 3.0) < 1e-13
     comm = A @ A.T - A.T @ A
     assert np.max(np.abs(comm - np.diag([-2.0, -1.0, 1.0, 2.0, 1.0, -1.0]))) < 1e-14
-    sym = q_matrix(A, data)
-    assert abs(sym.q + 1.5) < 1e-14
+    Q = q_matrix(A, data)
+    assert abs(Q[6, 6] + 1.5) < 1e-14
     # the symbol solves Q = c I + (1/2)(D + D^t) for the shipped derivation
     D = fixture["D"]
-    gap = sym.Q - (-2.5 * np.eye(7) + 0.5 * (D + D.T))
+    gap = Q - (-2.5 * np.eye(7) + 0.5 * (D + D.T))
     assert np.max(np.abs(gap)) < 1e-13
 
 
@@ -213,9 +211,9 @@ def test_complex_structure_bracket_diagnostics():
     assert diag["R"] == 0.0
     assert abs(diag["torsionNormSq"] - 9.0) < 1e-14
     assert diag["normSq"] == 6.0
-    sym = q_matrix(A, data)
-    assert np.max(np.abs(sym.Qh)) == 0.0
-    assert sym.q == -9.0
+    Q = q_matrix(A, data)
+    assert np.max(np.abs(Q[:6, :6])) == 0.0
+    assert Q[6, 6] == -9.0
 
 
 @pytest.mark.parametrize("convention", CONVENTIONS)

@@ -64,6 +64,21 @@ def test_verify_env_tolerance(monkeypatch, capsys):
     assert main(
         ["verify", "--suite", "laplacian", "--samples", "2", "--tol", "1e-8"]
     ) == 0
+    # empty means no override
+    monkeypatch.setenv("G2COFLOW_TOL", "")
+    assert main(["verify", "--suite", "laplacian", "--samples", "2"]) == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "-1"])
+def test_bad_env_tolerance_exits_two(value, monkeypatch, capsys):
+    monkeypatch.setenv("G2COFLOW_TOL", value)
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", "appendix"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    message = f"G2COFLOW_TOL: expected a positive finite number, got {value!r}"
+    assert message in captured.err
+    assert "Traceback" not in captured.err and "PASS" not in captured.out
 
 
 def test_verify_jobs_deterministic(tmp_path):
@@ -387,6 +402,20 @@ def test_check_fails_non_finite_residual(residual):
         (["verify", "--samples", "-1"], "expected a positive integer, got '-1'"),
         (["verify", "--samples", "0"], "expected a positive integer, got '0'"),
         (["soliton", "check", "--skew-sweep", "0"], "expected a positive integer"),
+        (
+            ["verify", "--suite", "laplacian", "--samples", "2", "--seed", "-1"],
+            "expected a non-negative integer, got '-1'",
+        ),
+        (
+            ["soliton", "check", "--skew-sweep", "2", "--seed", "-3"],
+            "expected a non-negative integer, got '-3'",
+        ),
+        (
+            ["phase", "--res", "5", "--trajectories", "1", "--seed", "-1"],
+            "expected a non-negative integer, got '-1'",
+        ),
+        (["phase", "--trajectories", "-1"], "expected a non-negative integer"),
+        (["phase", "--nullclines", "--xmin", "nan"], "grid bounds must be finite"),
     ],
 )
 def test_bad_numeric_input_exits_two(

@@ -86,7 +86,7 @@ def test_joint_rhs_shares_one_symbol(convention):
         out = np.empty(85)
         coflow._joint_rhs(data)(0.0, np.concatenate([A.ravel(), h.ravel()]), out)
         assert np.max(np.abs(out[:36].reshape(6, 6) - rhs(A, data))) < 1e-14
-        expected_dh = -q_matrix(A, data).Q @ h
+        expected_dh = -q_matrix(A, data) @ h
         assert np.max(np.abs(out[36:].reshape(7, 7) - expected_dh)) < 1e-14
 
 
@@ -336,6 +336,21 @@ def test_dopri_reproduces_scipy_rk45_bit_for_bit(convention):
     assert sol.nfev == ref.nfev
     assert np.array_equal(sol.t, ref.t)
     assert np.array_equal(sol.y, ref.y.T)
+
+
+def test_dopri_ends_on_a_nan_step():
+    calls = 0
+
+    def fun(t, y, out):
+        nonlocal calls
+        calls += 1
+        if calls > 1000:
+            raise RuntimeError("the stepper kept stepping with a NaN step")
+        out[:] = np.nan
+
+    sol = coflow._dopri(fun, 0.0, np.array([1.0]), 1.0, 1e-9, 1e-12)
+    assert sol.status == -1
+    assert sol.nfev == calls <= 10
 
 
 def test_dopri_backward_ceiling_matches_scipy_event():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from g2coflow import soliton
 from g2coflow.almost_abelian import (
     q_matrix,
     random_sp,
@@ -92,7 +93,7 @@ def test_fixture_semi_algebraic_with_shipped_derivation():
 
 
 def test_find_derivation_recovers_shipped_block():
-    D1, report = find_derivation(A_FIX, 1.0, DATA)
+    D1, report = find_derivation(A_FIX, DATA)
     assert D1 is not None
     assert np.max(np.abs(D1 - D1_FIX)) < 1e-11
     assert report["residual"] < 1e-12
@@ -118,6 +119,32 @@ def test_fixture_certify_report():
     assert expanding_only_audit(report, DATA)
     blob = json.dumps(report.to_dict())
     assert "semi_algebraic" in blob
+
+
+def test_certify_evaluates_the_symbol_once(monkeypatch):
+    calls = {"_laplacian_symbol": 0, "derivation_residual": 0}
+    for name in calls:
+        inner = getattr(soliton, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(soliton, name, counted)
+    data = canonical_g2("section4")
+    local = np.random.default_rng(20241022)
+    cases = [
+        (random_sp_skew(local, data), data, "algebraic", 2),
+        (random_sp(local, data), data, "none", 0),
+        (A_FIX, DATA, "semi_algebraic", 0),
+    ]
+    for A, case_data, kind, derivation_calls in cases:
+        calls.update(_laplacian_symbol=0, derivation_residual=0)
+        assert certify(A, case_data).kind == kind
+        assert calls == {
+            "_laplacian_symbol": 1,
+            "derivation_residual": derivation_calls,
+        }
 
 
 def test_general_conditions_on_fixture():
@@ -239,7 +266,7 @@ def test_symbol_decomposition_identity():
     # Q - cI splits as the derivation D plus the obstruction measured by
     # algebraic_check; on the fixture the two differ in the skew part only
     c, d = soliton_constants(A_FIX, DATA)
-    Q = q_matrix(A_FIX, DATA).Q
+    Q = q_matrix(A_FIX, DATA)
     sym_gap = Q - c * np.eye(7) - 0.5 * (D_FIX + D_FIX.T)
     assert np.max(np.abs(sym_gap)) < 1e-13
 
@@ -301,7 +328,7 @@ def test_soliton_code_matches_closed_forms(convention, sampler):
         _, semi = semi_algebraic_check(A, 0.5 * target, data)
         assert semi["matrix_eq"] <= 1e-12 * scale
         assert semi["symbol"] <= 1e-12 * scale
-        D1, search = find_derivation(A, d, data)
+        D1, search = find_derivation(A, data)
         gap = search["residual"] - reference_search_residual(A, d, target)
         assert abs(gap) <= 1e-12 * scale
         if D1 is not None:
