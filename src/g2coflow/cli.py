@@ -28,7 +28,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -165,6 +164,8 @@ def _run_sweep(
 ) -> dict[str, float]:
     tasks = [(sampler, conv, seed, i) for i in range(count)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, count // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sample, tasks, chunksize=chunk))
@@ -225,9 +226,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "checks": checks,
             "pass": all_ok,
         }
-        with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        coflow._write_json(args.report, report)
     return 0 if all_ok else 1
 
 
@@ -362,9 +361,7 @@ def _emit_soliton_report(report: soliton.SolitonReport, path: str | None) -> Non
     for name, value in sorted(report.residuals.items()):
         print(f"  residual {name}: {value:.3e}")
     if path:
-        with open(path, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        coflow._write_json(path, report.to_dict())
 
 
 def cmd_phase(args: argparse.Namespace) -> int:

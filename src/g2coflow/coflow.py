@@ -43,7 +43,7 @@ from .almost_abelian import (
     _symbol_workspace,
     require_sp,
 )
-from .exterior import KForm, form_norm, pullback
+from .exterior import form_norm, pullback
 from .g2 import G2Data, circ6
 from .metric_lie import DIM, hodge_laplacian
 
@@ -590,18 +590,15 @@ def coflow_pde_residuals(
     if min(needed) < 0:
         raise ValueError("times must exceed the largest dt")
     h_at = dict(zip(needed, _joint_h(A0, np.array(needed), data, rel_tol, abs_tol)))
-
-    def psi_at(t: float) -> KForm:
-        return pullback(h_at[t], data.psi)
+    psi_at = {t: pullback(h, data.psi) for t, h in h_at.items()}
+    lap_at = {t: hodge_laplacian(psi_at[t], A0, g=h_at[t].T @ h_at[t]) for t in times}
 
     out: dict[float, float] = {}
     for dt in dts:
         worst = 0.0
         for t in times:
-            dpsi = (1.0 / (2.0 * dt)) * (psi_at(t + dt) - psi_at(t - dt))
-            h = h_at[t]
-            lap = hodge_laplacian(psi_at(t), A0, g=h.T @ h)
-            worst = _worst(worst, form_norm(dpsi - lap))
+            dpsi = (1.0 / (2.0 * dt)) * (psi_at[t + dt] - psi_at[t - dt])
+            worst = _worst(worst, form_norm(dpsi - lap_at[t]))
         out[dt] = worst
     return out
 
@@ -626,9 +623,7 @@ def write_trace_csv(trace: FlowTrace, path: str) -> None:
         ]
     )
     _write_table(path, _CSV_COLUMNS, table)
-    with open(_meta_path(path), "w") as fh:
-        json.dump(trace.meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(_meta_path(path), trace.meta)
 
 
 def _write_table(path: str, header, table) -> None:
@@ -639,6 +634,12 @@ def _write_table(path: str, header, table) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         fh.write((row * len(table)) % tuple(table.ravel().tolist()))
+
+
+def _write_json(path: str, obj) -> None:
+    """Indented, key-sorted JSON and a final newline, written in one call."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _meta_path(path: str) -> str:

@@ -242,7 +242,8 @@ def from_dense(n: int, k: int, arr: np.ndarray) -> KForm:
 
 @lru_cache(maxsize=None)
 def _wedge_table(n: int, ka: int, kb: int):
-    """Sparse table (pos_a, pos_b, pos_out, sign) for the wedge of densities."""
+    """Read-only columns (pos_a, pos_b, pos_out, sign) of the sparse term
+    table for the wedge of densities."""
     out = []
     pos_out = index_position(n, ka + kb)
     for pa, ia in enumerate(multi_indices(n, ka)):
@@ -252,28 +253,37 @@ def _wedge_table(n: int, ka: int, kb: int):
                 continue
             merged = ia + ib
             out.append((pa, pb, pos_out[tuple(sorted(merged))], perm_sign(merged)))
-    return tuple(out)
+    pa, pb, po, sign = np.array(out, dtype=np.intp).T.copy()
+    cols = (pa, pb, po, sign.astype(float))
+    for c in cols:
+        c.setflags(write=False)
+    return cols
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
-    """Exterior product a ^ b."""
+    """Exterior product a ^ b.
+
+    One ordered accumulation over the cached term table: bincount adds the
+    products into zeroed outputs in table order.
+    """
     if a.n != b.n:
         raise ValueError("forms live on different spaces")
     k = a.k + b.k
     if k > a.n:
         raise ValueError(f"wedge degree {k} exceeds dimension {a.n}")
-    coeffs = np.zeros(math.comb(a.n, k))
-    for pa, pb, po, sign in _wedge_table(a.n, a.k, b.k):
-        coeffs[po] += sign * a.coeffs[pa] * b.coeffs[pb]
-    return KForm(a.n, k, coeffs)
+    pa, pb, po, sign = _wedge_table(a.n, a.k, b.k)
+    weights = sign * a.coeffs[pa] * b.coeffs[pb]
+    return KForm(a.n, k, np.bincount(po, weights=weights, minlength=math.comb(a.n, k)))
 
 
 def interior(v: np.ndarray, a: KForm) -> KForm:
     """Interior product v -| a, i.e. (v -| a)_{J} = v^m a_{m J}."""
     if a.k == 0:
         raise ValueError("interior product of a 0-form is not defined")
-    v = np.asarray(v, dtype=float).reshape(a.n)
-    return from_dense(a.n, a.k - 1, np.tensordot(v, a.dense(), axes=1))
+    n = a.n
+    v = np.asarray(v, dtype=float).reshape(n)
+    contracted = np.dot(v.reshape(1, n), a.dense().reshape(n, n ** (a.k - 1)))
+    return from_dense(n, a.k - 1, contracted.reshape((n,) * (a.k - 1)))
 
 
 def form_inner(a: KForm, b: KForm, g: np.ndarray | None = None) -> float:
@@ -314,6 +324,25 @@ def hodge_star(a: KForm, g: np.ndarray | None = None) -> KForm:
     return KForm(n, n - k, scale * coeffs)
 
 
+@lru_cache(maxsize=None)
+def _slot_axes(k: int, slot: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis order that moves `slot` last, and the order that moves the last
+    axis back to `slot`."""
+    rest = tuple(i for i in range(k) if i != slot)
+    back = tuple(range(slot)) + (k - 1,) + tuple(range(slot, k - 1))
+    return rest + (slot,), back
+
+
+def _slot_dot(dense: np.ndarray, h: np.ndarray, slot: int) -> np.ndarray:
+    """dense with index `slot` contracted against the rows of h, as a view in
+    the original axis order. The same transpose, reshape and np.dot as
+    np.moveaxis(np.tensordot(dense, h, axes=([slot], [0])), -1, slot)."""
+    n, k = h.shape[0], dense.ndim
+    to_last, back = _slot_axes(k, slot)
+    flat = dense.transpose(to_last).reshape(n ** (k - 1), n)
+    return np.dot(flat, h).reshape((n,) * k).transpose(back)
+
+
 def pullback(h: np.ndarray, a: KForm) -> KForm:
     """Pullback h^* a, i.e. (h^* a)(v_1,...,v_k) = a(h v_1,..., h v_k)."""
     h = np.asarray(h, dtype=float).reshape(a.n, a.n)
@@ -321,7 +350,7 @@ def pullback(h: np.ndarray, a: KForm) -> KForm:
         return a
     dense = a.dense()
     for slot in range(a.k):
-        dense = np.moveaxis(np.tensordot(dense, h, axes=([slot], [0])), -1, slot)
+        dense = _slot_dot(dense, h, slot)
     return from_dense(a.n, a.k, dense)
 
 
@@ -337,5 +366,5 @@ def theta(B: np.ndarray, a: KForm) -> KForm:
     dense = a.dense()
     out = np.zeros_like(dense)
     for slot in range(a.k):
-        out -= np.moveaxis(np.tensordot(dense, B, axes=([slot], [0])), -1, slot)
+        out -= _slot_dot(dense, B, slot)
     return from_dense(a.n, a.k, out)

@@ -294,6 +294,24 @@ def test_pde_residuals_second_order():
     assert res[1e-3] < res[1e-2] / 30.0
 
 
+def test_pde_residuals_take_one_laplacian_per_time(monkeypatch):
+    fixture = load_example("nilpotent3")
+    data = canonical_g2(fixture["convention"])
+    calls = []
+    laplacian = coflow.hodge_laplacian
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return laplacian(*args, **kwargs)
+
+    monkeypatch.setattr(coflow, "hodge_laplacian", counted)
+    res = coflow_pde_residuals(
+        fixture["A"], data, times=(0.5, 1.5), dts=(1e-2, 1e-3, 1e-4)
+    )
+    assert sorted(res) == [1e-4, 1e-3, 1e-2]
+    assert len(calls) == 2
+
+
 def test_pde_residuals_keep_nan(monkeypatch):
     fixture = load_example("nilpotent3")
     data = canonical_g2(fixture["convention"])
@@ -446,10 +464,11 @@ def test_trace_csv_matches_per_element_writer(tmp_path):
 def test_package_import_leaves_scipy_out():
     src = str(Path(g2coflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    # The process pool (and with it multiprocessing) loads only for --jobs > 1.
     code = (
         "import sys, g2coflow.cli; "
         "print(sorted(m for m in sys.modules "
-        "if m == 'scipy' or m.startswith('scipy.')))"
+        "if m.split('.')[0] in ('scipy', 'multiprocessing')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

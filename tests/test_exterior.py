@@ -15,6 +15,7 @@ from g2coflow.exterior import (
     from_dense,
     from_terms,
     hodge_star,
+    index_position,
     interior,
     multi_indices,
     perm_sign,
@@ -233,6 +234,80 @@ def test_theta_identity_scales_by_degree():
     for k in (1, 2, 3, 4):
         a = random_form(7, k)
         assert form_norm(theta(np.eye(7), a) + float(k) * a) < 1e-13
+
+
+# Exact references for the vectorised kernels: the per-term wedge loop and
+# the tensordot/moveaxis slot contractions. A change of summation order shows
+# as a byte difference, so these compare bytes, never within a tolerance.
+
+
+def _form_with_signed_zeros(n: int, k: int) -> KForm:
+    c = rng.standard_normal(math.comb(n, k))
+    c[rng.random(c.size) < 0.25] = 0.0
+    c[rng.random(c.size) < 0.15] = -0.0
+    return KForm(n, k, c)
+
+
+def _wedge_by_term_loop(a: KForm, b: KForm) -> np.ndarray:
+    k = a.k + b.k
+    coeffs = np.zeros(math.comb(a.n, k))
+    pos_out = index_position(a.n, k)
+    for pa, ia in enumerate(multi_indices(a.n, a.k)):
+        for pb, ib in enumerate(multi_indices(a.n, b.k)):
+            sign = perm_sign(ia + ib)
+            if sign:
+                coeffs[pos_out[tuple(sorted(ia + ib))]] += sign * a.coeffs[pa] * b.coeffs[pb]
+    return coeffs
+
+
+@pytest.mark.parametrize(
+    "ka,kb", [(ka, kb) for ka in range(8) for kb in range(8 - ka)]
+)
+def test_wedge_matches_term_loop_bytes(ka, kb):
+    a, b = _form_with_signed_zeros(7, ka), _form_with_signed_zeros(7, kb)
+    assert wedge(a, b).coeffs.tobytes() == _wedge_by_term_loop(a, b).tobytes()
+
+
+def _slot_by_tensordot(dense: np.ndarray, h: np.ndarray, slot: int) -> np.ndarray:
+    return np.moveaxis(np.tensordot(dense, h, axes=([slot], [0])), -1, slot)
+
+
+def _matrix(layout: str) -> np.ndarray:
+    if layout == "contiguous":
+        return rng.standard_normal((7, 7))
+    if layout == "transposed":
+        return rng.standard_normal((7, 7)).T
+    return rng.standard_normal((5, 7, 7))[3]
+
+
+LAYOUTS = ("contiguous", "transposed", "stack_row")
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("k", range(1, 8))
+def test_pullback_matches_tensordot_bytes(k, layout):
+    a, h = _form_with_signed_zeros(7, k), _matrix(layout)
+    dense = a.dense()
+    for slot in range(k):
+        dense = _slot_by_tensordot(dense, h, slot)
+    assert pullback(h, a).coeffs.tobytes() == from_dense(7, k, dense).coeffs.tobytes()
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("k", range(1, 8))
+def test_theta_matches_tensordot_bytes(k, layout):
+    a, B = _form_with_signed_zeros(7, k), _matrix(layout)
+    out = np.zeros_like(a.dense())
+    for slot in range(k):
+        out -= _slot_by_tensordot(a.dense(), B, slot)
+    assert theta(B, a).coeffs.tobytes() == from_dense(7, k, out).coeffs.tobytes()
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_interior_matches_tensordot_bytes(k):
+    a, v = _form_with_signed_zeros(7, k), rng.standard_normal(7)
+    direct = from_dense(7, k - 1, np.tensordot(v, a.dense(), axes=1))
+    assert interior(v, a).coeffs.tobytes() == direct.coeffs.tobytes()
 
 
 def test_json_round_trip_one_based():
