@@ -165,12 +165,15 @@ def t_circ_t(A: np.ndarray, data: G2Data) -> np.ndarray:
     )
 
 
-def _symbol_workspace() -> tuple[np.ndarray, ...]:
-    """Buffers for z, z (x) z and w of _laplacian_symbol, with the views it
-    reads them through, for a caller that evaluates the symbol many times
-    (the flow right-hand sides)."""
-    z, zz, w = np.empty(21), np.empty(441), np.empty(37)
-    return z, z[:, None], zz, zz.reshape(21, 21), w, w[:36].reshape(6, 6)
+def _symbol_workspace(data: G2Data) -> tuple[np.ndarray, ...]:
+    """P and M of data._symbol_quadratic with buffers for z, z (x) z and w
+    of _laplacian_symbol and the views it reads them through, bound once
+    for a caller that evaluates the symbol many times (the flow right-hand
+    sides)."""
+    P, M = data._symbol_quadratic
+    z, zz, w = np.empty(21), np.empty((21, 21)), np.empty(37)
+    Qh = w[:36].reshape(6, 6)
+    return P, M, z, z[:, None], z[None, :], zz, zz.reshape(441), w, Qh
 
 
 def _laplacian_symbol(
@@ -184,14 +187,18 @@ def _laplacian_symbol(
     the coordinates z = P vec(A), i.e. on the orthogonal projection of A
     onto sp(R^6); on sp(R^6) it equals the closed form to rounding. z,
     z (x) z and w = M (z (x) z) are written into work, a _symbol_workspace
-    (a fresh one when None); Qh is a view of w, valid until work is reused.
+    of data (a fresh one when None); Qh is a view of w, valid until work is
+    reused. z (x) z is one BLAS outer product: where it gives +0.0 for the
+    broadcast product's -0.0, w is the same, since M's sums start at +0.0.
     """
-    P, M = data._symbol_quadratic
-    z, z_col, zz, zz_mat, w, Qh = _symbol_workspace() if work is None else work
-    np.dot(P, A.reshape(36), z)
-    np.multiply(z_col, z, zz_mat)
-    np.dot(M, zz, w)
-    return Qh, float(w[36])
+    P, M, z, z_col, z_row, zz, zz_flat, w, Qh = (
+        _symbol_workspace(data) if work is None else work
+    )
+    dot = np.dot
+    dot(P, A.reshape(36), z)
+    dot(z_col, z_row, zz)
+    dot(M, zz_flat, w)
+    return Qh, w.item(36)
 
 
 def q_matrix(A: np.ndarray, data: G2Data) -> np.ndarray:

@@ -9,7 +9,8 @@ count that is not a positive integer, a --seed or --trajectories that is
 not a non-negative integer, a tolerance (G2COFLOW_TOL included) or
 horizon that is not a positive finite number, a phase grid below two
 points or with non-finite or empty bounds, in every phase mode),
-integrator or output-write failure, 3 non-symplectic bracket input.
+integrator or output-write failure (a --report, --out or trajectory file
+that cannot be written), 3 non-symplectic bracket input.
 
 Each subcommand takes only the flags it reads: verify and soliton take
 --convention, --tol, --jobs and --seed; flow takes --convention; phase
@@ -226,7 +227,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "checks": checks,
             "pass": all_ok,
         }
-        coflow._write_json(args.report, report)
+        try:
+            coflow._write_json(args.report, report)
+        except OSError as exc:
+            print(f"could not write report: {exc}", file=sys.stderr)
+            return 2
     return 0 if all_ok else 1
 
 
@@ -334,7 +339,8 @@ def cmd_soliton(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         report = soliton.certify(ex["A"], data, tol)
-        _emit_soliton_report(report, args.report)
+        if _emit_soliton_report(report, args.report):
+            return 2
         expected = ex["expected"]
         checks = [
             _check("example/c", abs(report.c - expected["c"]), tol),
@@ -349,11 +355,12 @@ def cmd_soliton(args: argparse.Namespace) -> int:
     if code:
         return code
     report = soliton.certify(A, data, tol)
-    _emit_soliton_report(report, args.report)
-    return 0
+    return _emit_soliton_report(report, args.report)
 
 
-def _emit_soliton_report(report: soliton.SolitonReport, path: str | None) -> None:
+def _emit_soliton_report(report: soliton.SolitonReport, path: str | None) -> int:
+    """Print the certificate and write its report to path, if given; 2 when
+    the report cannot be written, else 0."""
     print(
         f"kind={report.kind} classification={report.classification} "
         f"c={report.c:.12g} d={report.d:.12g}"
@@ -361,7 +368,12 @@ def _emit_soliton_report(report: soliton.SolitonReport, path: str | None) -> Non
     for name, value in sorted(report.residuals.items()):
         print(f"  residual {name}: {value:.3e}")
     if path:
-        coflow._write_json(path, report.to_dict())
+        try:
+            coflow._write_json(path, report.to_dict())
+        except OSError as exc:
+            print(f"could not write report: {exc}", file=sys.stderr)
+            return 2
+    return 0
 
 
 def cmd_phase(args: argparse.Namespace) -> int:

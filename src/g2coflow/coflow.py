@@ -9,17 +9,22 @@ and A(t) = a(t)^{-1} k(t) A(0) k(t)^{-1} for h = blockdiag(k, a).
 Integration uses an in-house adaptive Dormand-Prince 5(4) pair, _dopri,
 whose step control follows scipy's RK45 exactly (same initial step,
 error norm and step factors, so the same accepted steps). Its right-hand
-sides follow one protocol, fun(t, y, out): they write dy/dt into out, a
-row of the stepper's stage matrix; the stepper ignores what they return
-and keeps its stage arguments and error terms in buffers allocated once
-per call, and the flow right-hand sides keep the symbol's workspace
-across calls, so a step allocates little beyond the new state that its
-sample keeps. Every floating-point operation is the one an allocating
-evaluation would make, in the same order, so the steps are bit-identical
-to scipy's. No structure projection is performed: symplectic drift is
-checked at every accepted step as an integrator health check and aborts
-the run beyond the configured tolerance, so an accuracy bug cannot hide
-behind a re-projection.
+sides follow one per-call protocol, fun(t, y, out): they write dy/dt into
+out, a row of the stepper's stage matrix, and the stepper ignores what
+they return. What a call reads is bound once, not looked up per call:
+each flow right-hand side binds the symbol's matrices and workspace
+(almost_abelian._symbol_workspace) and its scratch buffer when it is
+made; _dopri binds the stage matrix, the views of it that the steps read
+and the buffers of its stage arguments and error terms once per call;
+integrate's drift gate binds the buffer of its residual. So a step
+allocates no array besides y_new, the new state that its sample keeps
+(dense output at t_eval points or at an event adds its own). Every
+floating-point operation is the one an allocating evaluation would make,
+in the same order, so the steps are bit-identical to scipy's. No
+structure projection is performed: symplectic drift is checked at every
+accepted step as an integrator health check and aborts the run beyond the
+configured tolerance, so an accuracy bug cannot hide behind a
+re-projection.
 
 The symbol (Q^h_A, q_A) is a quadratic form evaluated on the coordinates
 of the orthogonal projection of A onto sp(R^6) (see
@@ -196,12 +201,13 @@ def _initial_step(fun, t0, y0, f0, t_bound, max_step, direction, rtol, atol):
     return min(100 * h0, h1, interval, max_step)
 
 
-def _interpolate(K: np.ndarray, t_old: float, h: float, y_old: np.ndarray, t):
+def _interpolate(Q: np.ndarray, t_old: float, h: float, y_old: np.ndarray, t):
     """Quartic interpolant of the step from t_old to t_old + h at t (a
-    scalar, or a 1-D array giving one row per point)."""
+    scalar, or a 1-D array giving one row per point); Q = K.T @ _DP_P holds
+    the step's dense-output coefficients, for its stage matrix K."""
     x = (np.asarray(t, dtype=float) - t_old) / h
     p = np.cumprod(np.multiply.outer(np.ones(4), x), axis=0)
-    return (h * ((K.T @ _DP_P) @ p)).T + y_old
+    return (h * (Q @ p)).T + y_old
 
 
 def _dopri(
@@ -233,9 +239,14 @@ def _dopri(
     direction = 1.0 if t_bound >= t0 else -1.0
     t = float(t0)
     y = np.array(y0, dtype=float)
-    K = np.empty((7, y.size))  # K[0] holds f(t, y) at the start of each step
+    root_size = y.size**0.5
+    # the stage matrix and every view of it the steps read, bound once;
+    # K[0] holds f(t, y) at the start of each step
+    K = np.empty((7, y.size))
     stages = [(K[:s].T, a, c, K[s]) for s, (a, c) in enumerate(_DP_STAGES, start=1)]
-    fun(t, y, K[0])
+    K_first, K_last, KT_head, KT = K[0], K[-1], K[:-1].T, K.T
+    dot, absolute, maximum = np.dot, np.abs, np.maximum
+    fun(t, y, K_first)
     nfev = 1
     if t == t_bound:
         h_abs = 0.0
@@ -269,22 +280,22 @@ def _dopri(
             h = t_new - t
             h_abs = abs(h)
             for K_before, a, c, K_s in stages:
-                np.dot(K_before, a, arg)
+                dot(K_before, a, arg)
                 arg *= h
                 arg += y
                 fun(t + c * h, arg, K_s)
-            y_new = np.dot(K[:-1].T, _DP_B)  # a fresh array: the samples keep it
+            y_new = dot(KT_head, _DP_B)  # a fresh array: the samples keep it
             y_new *= h
             y_new += y
-            fun(t_new, y_new, K[-1])
+            fun(t_new, y_new, K_last)
             nfev += 6
-            np.maximum(abs_y, np.abs(y_new, out=abs_new), out=scale)
+            maximum(abs_y, absolute(y_new, out=abs_new), out=scale)
             scale *= rtol
             scale += atol
-            np.dot(K.T, _DP_E, err)
+            dot(KT, _DP_E, err)
             err *= h
             err /= scale
-            error_norm = _rms(err)
+            error_norm = math.sqrt(err.dot(err)) / root_size  # _rms(err), inline
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -304,8 +315,7 @@ def _dopri(
         if event is not None:
             g_new = event(t, y)
             if (g <= 0 <= g_new) or (g >= 0 >= g_new):
-                t = _event_root(event, K, t_old, t, y_old, g)
-                y = _interpolate(K, t_old, h, y_old, t)
+                t, y = _event_root(event, KT @ _DP_P, t_old, t, y_old, g)
                 status = 1
             g = g_new
         if t_eval is None:
@@ -315,11 +325,12 @@ def _dopri(
             i_new = int(np.searchsorted(ahead, direction * t, side="right"))
             if i_new > i_eval:
                 ts.append(t_eval[i_eval:i_new])
-                ys.append(_interpolate(K, t_old, h, y_old, t_eval[i_eval:i_new]))
+                Q = KT @ _DP_P
+                ys.append(_interpolate(Q, t_old, h, y_old, t_eval[i_eval:i_new]))
                 i_eval = i_new
         if status == 1:
             break
-        K[0] = K[-1]
+        K_first[...] = K_last
     if t_eval is None:
         t_out, y_out = np.array(ts), np.array(ys)
     elif ts:
@@ -329,17 +340,18 @@ def _dopri(
     return _Solution(t_out, y_out, nfev, status, _MESSAGES[status])
 
 
-def _event_root(event, K, t_old, t_new, y_old, g_old) -> float:
+def _event_root(event, Q, t_old, t_new, y_old, g_old) -> tuple[float, np.ndarray]:
     """Bisection for the event's sign change on the interpolant of the step
-    from t_old to t_new, down to adjacent floating-point times; returns the
-    end past the root."""
+    from t_old to t_new (dense-output coefficients Q, see _interpolate),
+    down to adjacent floating-point times; returns the end past the root
+    and the interpolant there."""
     h = t_new - t_old
     a, b, ga = t_old, t_new, g_old
     while True:
         m = 0.5 * (a + b)
         if m == a or m == b:
-            return b
-        gm = event(m, _interpolate(K, t_old, h, y_old, m))
+            return b, _interpolate(Q, t_old, h, y_old, b)
+        gm = event(m, _interpolate(Q, t_old, h, y_old, m))
         if (ga <= 0) == (gm <= 0):
             a, ga = m, gm
         else:
@@ -366,7 +378,7 @@ def _flow_rhs(data: G2Data) -> Callable[[float, np.ndarray, np.ndarray], tuple]:
     """fun(t, y, out) of the bracket flow on y = vec(A), for _dopri; the
     symbol workspace and scratch buffer are allocated once, here. fun
     returns the symbol (Qh, q) it evaluated, Qh valid until its next call."""
-    work = _symbol_workspace()
+    work = _symbol_workspace(data)
     tmp = np.empty((6, 6))
 
     def fun(t: float, y: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, float]:
@@ -408,9 +420,10 @@ def integrate(A0: np.ndarray, opts: IntegratorOptions, data: G2Data) -> FlowTrac
     """
     A0 = require_sp(A0, data)
     D = data._sp_residual
+    Dy = np.empty(36)
 
     def drift_gate(t: float, y: np.ndarray) -> None:
-        drift = abs(D @ y).max()
+        drift = np.abs(np.dot(D, y, Dy), out=Dy).max()
         if drift > opts.sp_drift_tol:
             raise IntegrationError(
                 f"symplectic drift {drift:.3e} exceeded {opts.sp_drift_tol:g} "
@@ -515,15 +528,17 @@ def _joint_rhs(data: G2Data) -> Callable[[float, np.ndarray, np.ndarray], None]:
     """fun(t, y, out) of the joint flow of y = (vec A, vec h), for _dopri:
     dA/dt by _flow_rhs and dh/dt = -Q_A h with the symbol it returns."""
     flow = _flow_rhs(data)
-    tmp = np.empty((6, 6))
 
     def fun(t: float, y: np.ndarray, out: np.ndarray) -> None:
         Qh, q = flow(t, y[:36], out[:36])
-        h = y[36:].reshape(DIM, DIM)
-        # -Q h for Q = blockdiag(Qh, q), block by block
-        dh = out[36:].reshape(DIM, DIM)
-        np.dot(np.negative(Qh, tmp), h[:6], dh[:6])
-        np.multiply(h[6], -q, dh[6])
+        # -Q h for Q = blockdiag(Qh, q), block by block. Negation is exact,
+        # so -(Qh h) has the bits of (-Qh) h up to the sign of an exact
+        # zero, which never reaches h: h(0) = I holds no -0.0, and a sum
+        # y + dy is -0.0 only when y is.
+        dh = out[36:78].reshape(6, DIM)
+        np.dot(Qh, y[36:78].reshape(6, DIM), dh)
+        np.negative(dh, dh)
+        np.multiply(y[78:], -q, out[78:])
 
     return fun
 

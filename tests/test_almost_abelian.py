@@ -5,6 +5,7 @@ import pytest
 
 from g2coflow.almost_abelian import (
     _laplacian_symbol,
+    _symbol_workspace,
     q_matrix,
     random_sp,
     random_sp_skew,
@@ -146,6 +147,37 @@ def test_symbol_quadratic_form_matches_closed_form(convention, sampler):
         assert np.max(np.abs(Qh - Qh_ref)) <= 1e-13 * scale
         assert abs(q - q_ref) <= 1e-13 * scale
         assert isinstance(q, float)
+
+
+def _symbol_inputs(data, local):
+    """Random, skew and su(3) brackets, planar-axis starts (with +0.0 and
+    with -0.0 zeros), the zero matrix in both signs, and the nilpotent3
+    fixture with its negative."""
+    samplers = (random_sp, random_sp_skew, random_su3)
+    As = [3.0 * sample(local, data) for sample in samplers for _ in range(5)]
+    for x0 in (0.7, -1.1):
+        A = np.zeros((6, 6))
+        A[0, 1], A[4, 3] = x0, -x0  # planar.embed(x0, 0) in the example basis
+        As += [A, np.where(A == 0.0, -0.0, A)]
+    fixture = load_example("nilpotent3")["A"]
+    return As + [np.zeros((6, 6)), np.full((6, 6), -0.0), fixture, -fixture]
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_symbol_arithmetic_is_the_quadratic_form(convention):
+    """The workspace evaluation makes the floating-point operations of
+    M (z (x) z) for z = P vec(A): same bits, signed zeros included, with or
+    without a reused workspace."""
+    data = canonical_g2(convention)
+    P, M = data._symbol_quadratic
+    work = _symbol_workspace(data)
+    for A in _symbol_inputs(data, np.random.default_rng(20261019)):
+        z = P @ A.ravel()
+        w = M @ np.multiply.outer(z, z).ravel()
+        for Qh, q in (_laplacian_symbol(A, data), _laplacian_symbol(A, data, work)):
+            assert Qh.tobytes() == w[:36].tobytes()
+            assert np.float64(q).tobytes() == w[36:].tobytes()
+            assert isinstance(q, float)
 
 
 @pytest.mark.parametrize("convention", CONVENTIONS)

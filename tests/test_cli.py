@@ -289,6 +289,19 @@ def test_phase_malformed_trajectory_exits_two(point, capsys):
     assert "expected 'x,y'" in capsys.readouterr().err
 
 
+def test_verify_report_write_failure(tmp_path, capsys):
+    report = tmp_path / "nodir" / "x.json"
+    assert main(["verify", "--suite", "appendix", "--report", str(report)]) == 2
+    assert "could not write report" in capsys.readouterr().err
+
+
+def test_soliton_report_write_failure(tmp_path, capsys):
+    report = tmp_path / "nodir" / "x.json"
+    argv = ["soliton", "check", "--example", "nilpotent3", "--report", str(report)]
+    assert main(argv) == 2
+    assert "could not write report" in capsys.readouterr().err
+
+
 def test_phase_write_failure(tmp_path):
     out = tmp_path / "missing" / "phase.csv"
     assert main(["phase", "--res", "5", "--out", str(out)]) == 2

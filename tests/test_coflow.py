@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from g2coflow.coflow import (
     write_trace_csv,
 )
 from g2coflow.g2 import CONVENTIONS, canonical_g2
-from g2coflow.soliton import load_example
+from g2coflow.soliton import certify, load_example
 
 rng = np.random.default_rng(20240820)
 DATA = canonical_g2("section4")
@@ -392,6 +393,98 @@ def test_dopri_backward_ceiling_matches_scipy_event():
     top, ref_top = np.linalg.norm(sol.y[-1]), np.linalg.norm(ref.y[:, -1])
     assert abs(top - ref_top) < 1e-12 * ceiling
     assert abs(top - ceiling) < 1e-10 * ceiling
+
+
+def test_event_root_equals_per_point_interpolation(monkeypatch):
+    """_event_root forms the step's dense-output coefficients once; its
+    root and the end sample equal, bit for bit, a bisection that forms the
+    interpolant afresh at every point."""
+    fun = coflow._flow_rhs(DATA)
+    stage = {}
+
+    def recording(t, y, out):
+        stage["K"] = out.base  # out is a row of the stepper's stage matrix
+        return fun(t, y, out)
+
+    roots = []
+
+    def recording_root(*args):
+        roots.append(args)
+        return event_root(*args)
+
+    event_root = coflow._event_root
+    monkeypatch.setattr(coflow, "_event_root", recording_root)
+    ceiling = 50.0
+
+    def event(t, y):
+        return math.sqrt(y.dot(y)) - ceiling
+
+    y0 = _start(5, DATA).ravel()
+    sol = coflow._dopri(recording, 0.0, y0, -10.0, 1e-9, 1e-12, event=event)
+    assert sol.status == 1 and len(roots) == 1
+    _, _, t_old, t_new, y_old, g_old = roots[0]
+    K = stage["K"]  # the event step's stages: the run ends on that step
+
+    def interpolate(t):
+        return coflow._interpolate(K.T @ coflow._DP_P, t_old, t_new - t_old, y_old, t)
+
+    a, b, ga = t_old, t_new, g_old
+    evaluations = 0
+    while (m := 0.5 * (a + b)) not in (a, b):
+        gm = event(m, interpolate(m))
+        evaluations += 1
+        if (ga <= 0) == (gm <= 0):
+            a, ga = m, gm
+        else:
+            b = m
+    assert evaluations > 10
+    assert sol.t[-1] == b
+    assert sol.y[-1].tobytes() == interpolate(b).tobytes()
+
+
+def test_workspaces_keep_nothing_between_runs(tmp_path):
+    """One integrate run twice in a process, with a joint reconstruct_h and
+    a soliton certificate between, writes the same trace and sidecar bytes,
+    forward and backward."""
+    A0 = _start(7, DATA)
+    fixture = load_example("nilpotent3")
+    data_ex = canonical_g2(fixture["convention"])
+    for opts in (
+        IntegratorOptions(t_end=20.0),
+        IntegratorOptions(t_end=10.0, direction="backward", norm_ceiling=1e3),
+    ):
+        written = []
+        for run in range(2):
+            path = tmp_path / f"{opts.direction}{run}.csv"
+            write_trace_csv(integrate(A0, opts, DATA), str(path))
+            meta = path.with_suffix(".meta.json")
+            written.append((path.read_bytes(), meta.read_bytes()))
+            if run == 0:
+                orbit = integrate(fixture["A"], IntegratorOptions(t_end=1.0), data_ex)
+                reconstruct_h(orbit, data_ex)
+                certify(random_sp(np.random.default_rng(3), DATA), DATA)
+        assert written[0] == written[1]
+
+
+def test_stepper_makes_no_deprecated_numpy_call():
+    """Every warning is an error here, so a deprecated call (such as
+    np.maximum with a positional out) fails the run."""
+    fixture = load_example("nilpotent3")
+    data_ex = canonical_g2(fixture["convention"])
+    y0 = _start(5, DATA).ravel()
+    h0 = np.concatenate([fixture["A"].ravel(), np.eye(7).ravel()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coflow._dopri(coflow._flow_rhs(DATA), 0.0, y0, 5.0, 1e-9, 1e-12)
+        sol = coflow._dopri(
+            coflow._flow_rhs(DATA), 0.0, y0, -10.0, 1e-9, 1e-12,
+            event=lambda t, y: math.sqrt(y.dot(y)) - 50.0,
+        )
+        assert sol.status == 1
+        coflow._dopri(
+            coflow._joint_rhs(data_ex), 0.0, h0, 1.0, 1e-11, 1e-13,
+            t_eval=np.linspace(0.0, 1.0, 5),
+        )
 
 
 @pytest.mark.parametrize("backward", [False, True])
