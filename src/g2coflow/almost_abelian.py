@@ -46,9 +46,10 @@ def _blockdiag(block: np.ndarray, corner: float) -> np.ndarray:
 
 
 def sp_check(A: np.ndarray, data: G2Data, tol: float = 1e-10) -> tuple[bool, float]:
-    """Whether A J + J A^t = 0, with the max-abs residual."""
+    """Whether A J + J A^t = 0, with the max-abs residual (read through
+    data._sp_residual, the map the flow's drift gate reads)."""
     A = _as_bracket(A)
-    residual = float(np.max(np.abs(A @ data.J + data.J @ A.T)))
+    residual = float(np.max(np.abs(data._sp_residual @ A.reshape(36))))
     scale = max(1.0, float(np.max(np.abs(A))))
     return residual <= tol * scale, residual
 
@@ -103,13 +104,6 @@ class TorsionPackage:
     tau0: float
     tau27: np.ndarray
     T: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "tau0": self.tau0,
-            "tau27": self.tau27.tolist(),
-            "T": self.T.tolist(),
-        }
 
 
 def torsion_forms(A: np.ndarray, data: G2Data) -> TorsionPackage:

@@ -3,12 +3,13 @@ certification, and phase-portrait export.
 
 Exit codes: 0 success, 1 failed identity or assertion (the offending
 residual is named on stdout; a NaN or infinite residual always fails),
-2 unreadable or out-of-range input (a missing or malformed bracket file,
-an unknown --example fixture, a --trajectory that is not two numbers, a
-count that is not a positive integer, a --seed or --trajectories that is
-not a non-negative integer, a tolerance (G2COFLOW_TOL included) or
-horizon that is not a positive finite number, a phase grid below two
-points or with non-finite or empty bounds, in every phase mode),
+2 unreadable or out-of-range input (a missing, malformed or non-finite
+bracket file, a zero bracket to certify, an unknown --example fixture, a
+--trajectory that is not two numbers, a count that is not a positive
+integer, a --seed or --trajectories that is not a non-negative integer,
+a tolerance (G2COFLOW_TOL included) or horizon that is not a positive
+finite number, a phase grid below two points or with non-finite or empty
+bounds, in every phase mode),
 integrator or output-write failure (a --report, --out or trajectory file
 that cannot be written), 3 non-symplectic bracket input.
 
@@ -241,6 +242,8 @@ def _read_bracket(path: str, data: G2Data) -> tuple[np.ndarray | None, int]:
     try:
         with open(path) as fh:
             A = np.asarray(json.load(fh)["A"], dtype=float).reshape(6, 6)
+        if not np.isfinite(A).all():
+            raise ValueError("non-finite entries")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"cannot read bracket file {path}: {exc}", file=sys.stderr)
         return None, 2
@@ -354,7 +357,11 @@ def cmd_soliton(args: argparse.Namespace) -> int:
     A, code = _read_bracket(args.bracket, data)
     if code:
         return code
-    report = soliton.certify(A, data, tol)
+    try:
+        report = soliton.certify(A, data, tol)
+    except ValueError as exc:  # the zero bracket has no soliton constants
+        print(f"cannot certify bracket: {exc}", file=sys.stderr)
+        return 2
     return _emit_soliton_report(report, args.report)
 
 
@@ -399,15 +406,9 @@ def cmd_phase(args: argparse.Namespace) -> int:
             x0, y0 = args.trajectory
             ts, xs, ys = planar.integrate_trajectory(x0, y0, args.t_end)
             out = args.out or f"trajectory_{x0:g}_{y0:g}.csv"
-            planar.write_trajectory_csv(ts, xs, ys, out)
+            hs = planar.write_trajectory_csv(ts, xs, ys, out)
             if x0 != 0.0 and y0 != 0.0:
-                h = np.array(
-                    [
-                        planar.log_abs_h(x, y)
-                        for x, y in zip(xs, ys)
-                        if x != 0.0 and y != 0.0
-                    ]
-                )
+                h = hs[(xs != 0) & (ys != 0)]
                 drift = float(np.max(np.abs(h - h[0]))) if len(h) else np.nan
                 print(f"log|H| drift: {drift:.3e}", file=sys.stderr)
             print(f"wrote {out}")
@@ -476,7 +477,9 @@ def _point(text: str) -> tuple[float, float]:
     return x, y
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process (parse_args keeps it)."""
     # flow reads only --convention; verify and soliton read all four
     frame = argparse.ArgumentParser(add_help=False)
     frame.add_argument(
@@ -548,12 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_phase.add_argument("--nullclines", action="store_true")
     p_phase.add_argument("--out", default=None)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser() once per process; parse_args leaves it unchanged."""
-    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -193,16 +193,12 @@ class KForm:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KForm":
-        n, k = int(data["n"]), int(data["k"])
-        coeffs = np.zeros(math.comb(n, k))
-        pos = index_position(n, k)
-        for term in data.get("terms", []):
-            idx = [int(i) - 1 for i in term["idx"]]
-            sign = perm_sign(idx)
-            if sign == 0:
-                raise ValueError(f"repeated index in term {term['idx']}")
-            coeffs[pos[tuple(sorted(idx))]] += sign * float(term["c"])
-        return cls(n, k, coeffs)
+        """Inverse of to_dict (terms may repeat or come unsorted)."""
+        terms = [
+            ([int(i) - 1 for i in term["idx"]], float(term["c"]))
+            for term in data.get("terms", [])
+        ]
+        return from_terms(int(data["n"]), int(data["k"]), terms)
 
 
 def zero_form(n: int, k: int) -> KForm:
@@ -211,13 +207,7 @@ def zero_form(n: int, k: int) -> KForm:
 
 def basis_form(n: int, idx) -> KForm:
     """Unit wedge monomial e^{i1} ^ ... ^ e^{ik} for 0-based idx (any order)."""
-    sign = perm_sign(idx)
-    if sign == 0:
-        raise ValueError(f"repeated index in {idx}")
-    k = len(idx)
-    coeffs = np.zeros(math.comb(n, k))
-    coeffs[index_position(n, k)[tuple(sorted(idx))]] = sign
-    return KForm(n, k, coeffs)
+    return from_terms(n, len(idx), [(idx, 1.0)])
 
 
 def from_terms(n: int, k: int, terms) -> KForm:

@@ -25,12 +25,21 @@ from .exterior import (
     basis_form,
     form_inner,
     form_norm,
+    from_dense,
     from_terms,
     hodge_star,
+    interior,
     pullback,
     wedge,
 )
-from .metric_lie import DIM, VectorField, curl_vector
+from .metric_lie import (
+    DIM,
+    VectorField,
+    covariant_derivative_tensor,
+    curl_vector,
+    curvature_tensor,
+    koszul_connection,
+)
 
 __all__ = [
     "G2Data",
@@ -167,8 +176,6 @@ def metric_from_phi(phi: KForm) -> tuple[np.ndarray, int]:
     of that 7-form gives B = g sqrt(det g) up to the orientation sign, and
     the signed ninth root removes the conformal factor.
     """
-    from .exterior import interior
-
     B = np.empty((DIM, DIM))
     contractions = [interior(np.eye(DIM)[i], phi) for i in range(DIM)]
     for i in range(DIM):
@@ -246,8 +253,6 @@ def _symmetric(h: np.ndarray, name: str) -> np.ndarray:
 
 def i_phi(h: np.ndarray, data: G2Data) -> KForm:
     """3-form i_phi(h)_{ijk} = h_i^m phi_{mjk} + h_j^m phi_{imk} + h_k^m phi_{ijm}."""
-    from .exterior import from_dense
-
     h = _symmetric(np.asarray(h, dtype=float).reshape(DIM, DIM), "i_phi")
     p = data.phi.dense()
     dense = (
@@ -260,8 +265,6 @@ def i_phi(h: np.ndarray, data: G2Data) -> KForm:
 
 def i_psi(h: np.ndarray, data: G2Data) -> KForm:
     """4-form analogue of i_phi, one slot insertion per argument."""
-    from .exterior import from_dense
-
     h = _symmetric(np.asarray(h, dtype=float).reshape(DIM, DIM), "i_psi")
     p = data.psi.dense()
     dense = (
@@ -436,12 +439,6 @@ def bianchi_defect(T: np.ndarray, A: np.ndarray, data: G2Data) -> np.ndarray:
     - grad_[ei,ej]) e_k, e_m> and Ric_jk = R_ljkl. Identically zero; the
     returned (7,7,7) array measures numerical and convention drift.
     """
-    from .metric_lie import (
-        covariant_derivative_tensor,
-        curvature_tensor,
-        koszul_connection,
-    )
-
     T = np.asarray(T, dtype=float)
     gamma = koszul_connection(A)
     R = curvature_tensor(gamma, A)
@@ -548,15 +545,10 @@ def infinitesimal_symmetry_check(
     lie_derivative_psi_decomposition, so its sign follows the same oracle.
     """
     killing = float(np.max(np.abs(field.lie_derivative_metric)))
-    curl_gap = float(
-        np.max(
-            np.abs(
-                curl_vector(field, data.phi.dense())
-                + 2.0 * np.einsum("a,ab->b", field.value, np.asarray(T, dtype=float))
-            )
-        )
-    )
-    lie_psi = form_norm(lie_derivative_psi_decomposition(field, T, data).total)
+    decomposition = lie_derivative_psi_decomposition(field, T, data)
+    # -2 w is Curl X + 2 (X -| T) bit for bit: both scalings are by powers of 2
+    curl_gap = float(np.max(np.abs(-2.0 * decomposition.w)))
+    lie_psi = form_norm(decomposition.total)
     residuals = {
         "killing_residual": killing,
         "curl_torsion_residual": curl_gap,

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import KForm, hodge_star, interior, multi_indices, theta
+from .exterior import KForm, _flat_index, hodge_star, interior, multi_indices, theta
 
 __all__ = [
     "DIM",
@@ -77,12 +77,9 @@ def _ce_table(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         if idx[-1] != DIM - 1:
             continue
         for p in range(k):
-            flat = 0
-            for i in idx[:p] + idx[p + 1 : k]:
-                flat = flat * DIM + i
             pos.append(out_pos)
             col.append(idx[p])
-            rest.append(flat)
+            rest.append(_flat_index(DIM, idx[:p] + idx[p + 1 : k]))
             sign.append(-1.0 if (p + k) % 2 == 0 else 1.0)
     out = (
         np.array(pos, dtype=np.intp),

@@ -233,6 +233,8 @@ def write_phase_csv(rows: list[dict], path: str) -> None:
 
 def write_trajectory_csv(
     ts: np.ndarray, xs: np.ndarray, ys: np.ndarray, path: str
-) -> None:
+) -> np.ndarray:
+    """Write the trajectory and return its log|H| column (NaN on an axis)."""
     hs = [log_abs_h(x, y) if x != 0.0 and y != 0.0 else np.nan for x, y in zip(xs, ys)]
     _write_table(path, ("t", "x", "y", "logAbsH"), np.column_stack([ts, xs, ys, hs]))
+    return np.array(hs)

@@ -2,11 +2,13 @@
 
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from g2coflow import cli
+from g2coflow import cli, soliton
 from g2coflow.almost_abelian import random_sp
 from g2coflow.cli import main
 from g2coflow.g2 import canonical_g2
@@ -244,6 +246,52 @@ def test_soliton_bracket_generic(sp_bracket, capsys):
 def test_soliton_bracket_non_symplectic(tmp_path):
     bad = write_bracket(tmp_path / "bad.json", np.ones((6, 6)))
     assert main(["soliton", "check", "--bracket", bad]) == 3
+
+
+def test_soliton_zero_bracket_exits_two(tmp_path, capsys):
+    zero = write_bracket(tmp_path / "zero.json", np.zeros((6, 6)))
+    assert main(["soliton", "check", "--bracket", zero]) == 2
+    captured = capsys.readouterr()
+    assert "cannot certify bracket" in captured.err
+    assert "undefined for the zero bracket" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_flow_non_finite_bracket_exits_two(value, tmp_path, capsys):
+    A = random_sp(np.random.default_rng(3), canonical_g2("section4"))
+    A[2, 4] = value
+    path = write_bracket(tmp_path / "bad.json", A)
+    out = tmp_path / "trace.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["flow", "--bracket", path, "--out", str(out)]) == 2
+    assert "non-finite entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_soliton_non_finite_bracket_exits_two(value, tmp_path, capsys):
+    A = np.zeros((6, 6))
+    A[0, 0] = value
+    path = write_bracket(tmp_path / "bad.json", A)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["soliton", "check", "--bracket", path]) == 2
+    captured = capsys.readouterr()
+    assert "non-finite entries" in captured.err
+    assert captured.out == ""
+
+
+def test_flow_drift_over_tolerance_writes_nothing(tmp_path, capsys):
+    fixture = str(Path(soliton.__file__).parent / "fixtures" / "nilpotent3.json")
+    out = tmp_path / "trace.csv"
+    argv = ["flow", "--convention", "example", "--bracket", fixture]
+    assert main(argv + ["--sp-drift-tol", "1e-17", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "integration failed: symplectic drift" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_soliton_skew_sweep(capsys):
