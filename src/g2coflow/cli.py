@@ -1,8 +1,11 @@
 """Command-line front end: verification suites, flow runs, soliton
 certification, and phase-portrait export.
 
+Every command that checks ends through _finish: it prints each check and
+writes the run record ({command fields, checks, pass}) to any --report.
 Exit codes: 0 success, 1 failed identity or assertion (the offending
-residual is named on stdout; a NaN or infinite residual always fails),
+residual is named on stdout; a NaN or infinite residual always fails, and
+so does a certificate whose c, d or residuals are not finite),
 2 unreadable or out-of-range input (a missing, malformed or non-finite
 bracket file, a zero bracket to certify, an unknown --example fixture, a
 --trajectory that is not two numbers, a count that is not a positive
@@ -52,6 +55,7 @@ from .g2 import (
     lie_derivative_psi_decomposition,
     laplacian_closed_form,
     assemble_4form,
+    ricci_from_torsion,
 )
 from .metric_lie import (
     curl_tensor,
@@ -95,12 +99,11 @@ def _sample_ricci(data: G2Data, rng: np.random.Generator) -> dict[str, float]:
     div_T = divergence_tensor(T, gamma)
     curl_T = curl_tensor(T, gamma, phi_d)
     ric = ricci_tensor(curvature_tensor(gamma, A))
+    ric_closed, _ = ricci_from_torsion(T, curl_T)
     return {
         "div_equals_grad_trace": float(np.max(np.abs(div_T - grad_trace(nT)))),
         "curl_symmetric": float(np.max(np.abs(curl_T - curl_T.T))),
-        "ricci_torsion_form": float(
-            np.max(np.abs(ric - (-curl_T - T @ T + np.trace(T) * T)))
-        ),
+        "ricci_torsion_form": float(np.max(np.abs(ric - ric_closed))),
     }
 
 
@@ -192,16 +195,24 @@ def _check(name: str, residual: float, tol: float, ok: bool | None = None) -> di
     }
 
 
-def _print_checks(checks: list[dict]) -> bool:
-    all_ok = True
+def _finish(checks: list[dict], path: str | None = None, **fields) -> int:
+    """End a command: print each check and, when path is given, write the run
+    record {**fields, checks, pass} there. Returns 0 when every check
+    passes, 1 when one fails, 2 when the record cannot be written."""
+    ok = True
     for chk in checks:
-        status = "PASS" if chk["pass"] else "FAIL"
-        all_ok = all_ok and chk["pass"]
+        ok = ok and chk["pass"]
         print(
-            f"{status} {chk['name']}: residual={chk['residual']:.3e} "
-            f"(tol {chk['tolerance']:.1e})"
+            f"{'PASS' if chk['pass'] else 'FAIL'} {chk['name']}: "
+            f"residual={chk['residual']:.3e} (tol {chk['tolerance']:.1e})"
         )
-    return all_ok
+    if path:
+        try:
+            coflow._write_json(path, {**fields, "checks": checks, "pass": ok})
+        except OSError as exc:
+            print(f"could not write report: {exc}", file=sys.stderr)
+            return 2
+    return 0 if ok else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -219,21 +230,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 sampler, args.convention, args.seed, samples, args.jobs
             )
         checks.extend(_check(f"{suite}/{name}", r, tol) for name, r in results.items())
-    all_ok = _print_checks(checks)
-    if args.report:
-        report = {
-            "convention": args.convention,
-            "suite": args.suite,
-            "seed": args.seed,
-            "checks": checks,
-            "pass": all_ok,
-        }
-        try:
-            coflow._write_json(args.report, report)
-        except OSError as exc:
-            print(f"could not write report: {exc}", file=sys.stderr)
-            return 2
-    return 0 if all_ok else 1
+    return _finish(
+        checks, args.report, convention=args.convention, suite=args.suite, seed=args.seed
+    )
 
 
 def _read_bracket(path: str, data: G2Data) -> tuple[np.ndarray | None, int]:
@@ -291,8 +290,12 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
     checks = []
     slack = 1e-9
-    drop = float(np.max(np.diff(trace.norm_sq))) if len(trace.ts) > 1 else 0.0
-    checks.append(_check("normSq_nonincreasing", max(drop, 0.0), slack, drop <= slack))
+    for name, values in (
+        ("normSq_nonincreasing", trace.norm_sq),
+        ("torsionNormSq_nonincreasing", trace.torsion_sq),
+    ):
+        rise = float(np.max(np.diff(values))) if len(trace.ts) > 1 else 0.0
+        checks.append(_check(name, max(rise, 0.0), slack, rise <= slack))
     bound = coflow.scalar_bound_check(trace)
     if bound.get("skipped"):
         print(f"scalar bound skipped: {bound['reason']}")
@@ -303,16 +306,16 @@ def cmd_flow(args: argparse.Namespace) -> int:
         ok = bound["bound_ok"] and bound["R_increasing"]
         checks.append(_check("scalar_bound", gap, slack, ok))
 
-    # Planar-axis starts admit a closed form in bracket time,
-    # x(t) = x0 (1 + 3 x0^2 t)^{-1/2}; the planar module's displayed system
-    # runs the same orbit at 4x speed (factor documented there).
+    # Planar-axis starts admit a closed form; the planar module's displayed
+    # system runs the same orbit at 4x speed (factor documented there), so
+    # bracket time t is planar time t/4.
     x0 = A0[0, 1]
     if not backward and x0 != 0.0 and np.max(np.abs(A0 - planar.embed(x0, 0.0))) == 0.0:
-        closed = x0 / np.sqrt(1.0 + 3.0 * x0 * x0 * trace.ts)
+        closed = planar.axis_solution(x0, trace.ts / 4.0)
         rel = float(np.max(np.abs(trace.As[:, 0, 1] - closed) / np.abs(closed)))
         checks.append(_check("axis_closed_form", rel, 1e-6))
         print("axis start: planar-system clock runs at 4x bracket time")
-    return 0 if _print_checks(checks) else 1
+    return _finish(checks)
 
 
 def cmd_soliton(args: argparse.Namespace) -> int:
@@ -326,8 +329,9 @@ def cmd_soliton(args: argparse.Namespace) -> int:
             for name, v in merged.items()
         ]
         print(f"{args.skew_sweep} skew brackets certified")
-        return 0 if _print_checks(checks) else 1
+        return _finish(checks, args.report, convention=conv, seed=args.seed)
 
+    expected = None
     if args.example:
         try:
             ex = soliton.load_example(args.example)
@@ -341,46 +345,35 @@ def cmd_soliton(args: argparse.Namespace) -> int:
                 f"{ex['convention']} basis; using it",
                 file=sys.stderr,
             )
-        report = soliton.certify(ex["A"], data, tol)
-        if _emit_soliton_report(report, args.report):
-            return 2
-        expected = ex["expected"]
-        checks = [
-            _check("example/c", abs(report.c - expected["c"]), tol),
-            _check("example/d", abs(report.d - expected["d"]), tol),
-            _check("example/kind", report.kind != "semi_algebraic", 0.5),
-            _check("example/pde", report.residuals.get("pde", np.inf), 1e-10),
-        ]
-        return 0 if _print_checks(checks) else 1
-
-    data = canonical_g2(args.convention)
-    A, code = _read_bracket(args.bracket, data)
-    if code:
-        return code
+        A, expected = ex["A"], ex["expected"]
+    else:
+        data = canonical_g2(args.convention)
+        A, code = _read_bracket(args.bracket, data)
+        if code:
+            return code
     try:
         report = soliton.certify(A, data, tol)
     except ValueError as exc:  # the zero bracket has no soliton constants
         print(f"cannot certify bracket: {exc}", file=sys.stderr)
         return 2
-    return _emit_soliton_report(report, args.report)
-
-
-def _emit_soliton_report(report: soliton.SolitonReport, path: str | None) -> int:
-    """Print the certificate and write its report to path, if given; 2 when
-    the report cannot be written, else 0."""
     print(
         f"kind={report.kind} classification={report.classification} "
         f"c={report.c:.12g} d={report.d:.12g}"
     )
     for name, value in sorted(report.residuals.items()):
         print(f"  residual {name}: {value:.3e}")
-    if path:
-        try:
-            coflow._write_json(path, report.to_dict())
-        except OSError as exc:
-            print(f"could not write report: {exc}", file=sys.stderr)
-            return 2
-    return 0
+
+    # residual: how many of c, d and the certificate residuals are not finite
+    values = np.array([report.c, report.d, *report.residuals.values()])
+    checks = [_check("certificate/finite", np.sum(~np.isfinite(values)), 0.5)]
+    if expected is not None:
+        checks += [
+            _check("example/c", abs(report.c - expected["c"]), tol),
+            _check("example/d", abs(report.d - expected["d"]), tol),
+            _check("example/kind", report.kind != "semi_algebraic", 0.5),
+            _check("example/pde", report.residuals.get("pde", np.inf), 1e-10),
+        ]
+    return _finish(checks, args.report, **report.to_dict())
 
 
 def cmd_phase(args: argparse.Namespace) -> int:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .almost_abelian import _blockdiag, _laplacian_symbol, require_sp, torsion_forms
 from .exterior import form_norm, theta
-from .g2 import G2Data, circ
+from .g2 import G2Data, circ, ricci_from_torsion
 from .metric_lie import (
     DIM,
     VectorField,
@@ -247,7 +247,7 @@ def general_soliton_conditions(
     gross mismatch means the caller paired tensors from different brackets.
     """
     T = np.asarray(T, dtype=float)
-    ric_closed = -curl_T - T @ T + np.trace(T) * T
+    ric_closed, _ = ricci_from_torsion(T, curl_T)
     if np.max(np.abs(ric - ric_closed)) > 1e-6 * max(1.0, np.max(np.abs(ric))):
         raise ValueError("ric does not match the torsion closed form")
 

@@ -124,7 +124,8 @@ def test_flow_smoke_and_outputs(sp_bracket, tmp_path, capsys):
     meta = json.loads(out.with_suffix(".meta.json").read_text())
     assert meta["termination"] == "t_end"
     text = capsys.readouterr().out
-    assert "normSq_nonincreasing" in text
+    assert "PASS normSq_nonincreasing" in text
+    assert "PASS torsionNormSq_nonincreasing" in text
 
 
 def test_flow_scalar_bound_residual_is_not_negative_zero(sp_bracket, tmp_path, capsys):
@@ -236,6 +237,37 @@ def test_soliton_example(capsys, tmp_path):
     report = json.loads(report_path.read_text())
     assert abs(report["c"] + 2.5) < 1e-12
     assert report["kind"] == "semi_algebraic"
+    # the record is the certificate, byte for byte, plus checks and pass
+    checks, ok = report.pop("checks"), report.pop("pass")
+    assert ok is True and all(chk["pass"] for chk in checks)
+    assert [chk["name"] for chk in checks] == [
+        "certificate/finite",
+        "example/c",
+        "example/d",
+        "example/kind",
+        "example/pde",
+    ]
+    ex = soliton.load_example("nilpotent3")
+    cert = soliton.certify(ex["A"], canonical_g2(ex["convention"]))
+    expected, rest = tmp_path / "expected.json", tmp_path / "rest.json"
+    cli.coflow._write_json(str(expected), cert.to_dict())
+    cli.coflow._write_json(str(rest), report)
+    assert rest.read_bytes() == expected.read_bytes()
+
+
+def test_soliton_non_finite_certificate_fails(tmp_path, capsys):
+    # a finite bracket whose square overflows: c, d and residuals are NaN
+    A = random_sp(np.random.default_rng(11), canonical_g2("section4"))
+    path = write_bracket(tmp_path / "huge.json", A * (1e160 / np.linalg.norm(A)))
+    report_path = tmp_path / "soliton.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["soliton", "check", "--bracket", path, "--report", str(report_path)])
+    assert code == 1
+    assert "FAIL certificate/finite" in capsys.readouterr().out
+    record = json.loads(report_path.read_text())
+    assert record["pass"] is False
+    assert [chk["name"] for chk in record["checks"]] == ["certificate/finite"]
 
 
 def test_soliton_bracket_generic(sp_bracket, capsys):
@@ -294,10 +326,17 @@ def test_flow_drift_over_tolerance_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_soliton_skew_sweep(capsys):
-    assert main(["soliton", "check", "--skew-sweep", "10"]) == 0
+def test_soliton_skew_sweep(tmp_path, capsys):
+    report_path = tmp_path / "sweep.json"
+    argv = ["soliton", "check", "--skew-sweep", "10", "--seed", "2"]
+    assert main([*argv, "--report", str(report_path)]) == 0
     out = capsys.readouterr().out
     assert "skew_algebraic" in out and "FAIL" not in out
+    record = json.loads(report_path.read_text())
+    assert sorted(record) == ["checks", "convention", "pass", "seed"]
+    assert record["convention"] == "section4" and record["seed"] == 2
+    assert record["pass"] is True
+    assert all(f"PASS {chk['name']}:" in out for chk in record["checks"])
 
 
 def test_phase_grid_csv(tmp_path):
@@ -345,9 +384,9 @@ def test_verify_report_write_failure(tmp_path, capsys):
 
 def test_soliton_report_write_failure(tmp_path, capsys):
     report = tmp_path / "nodir" / "x.json"
-    argv = ["soliton", "check", "--example", "nilpotent3", "--report", str(report)]
-    assert main(argv) == 2
-    assert "could not write report" in capsys.readouterr().err
+    for run in (["--example", "nilpotent3"], ["--skew-sweep", "5"]):
+        assert main(["soliton", "check", *run, "--report", str(report)]) == 2
+        assert "could not write report" in capsys.readouterr().err
 
 
 def test_phase_write_failure(tmp_path):
