@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .g2 import G2Data, circ6
-from .metric_lie import DIM, _as_bracket, covariant_derivative_form, koszul_connection
+from .metric_lie import DIM, _as_bracket, _nabla_dense, koszul_connection
 
 __all__ = [
     "sp_check",
@@ -125,25 +125,19 @@ def torsion_forms(A: np.ndarray, data: G2Data) -> TorsionPackage:
 def torsion_from_nabla_phi(
     A: np.ndarray, data: G2Data
 ) -> tuple[np.ndarray, float]:
-    """Solve nabla_m phi = T_m^p (e_p -| psi) for T row by row.
+    """Solve nabla_m phi = T_m^p (e_p -| psi) for T in one product.
 
-    The psi-contraction psi_{pjkl} psi_{qjkl} = 24 delta_{pq} inverts the
-    system exactly; the reported residual is the worst row defect and
-    vanishes only when nabla phi lies in the psi-image, i.e. when the
-    convention matches.
+    With N (7x343) the stack of all nabla_m phi and Psi = psi reshaped to
+    7x343, the system is N = T Psi; since Psi Psi^t = 24 I (psi_{pjkl}
+    psi_{qjkl} = 24 delta_{pq}), T = N Psi^t / 24 inverts it exactly. The
+    reported residual is max |T Psi - N|; it vanishes only when nabla phi
+    lies in the psi-image, i.e. when the convention matches.
     """
     A = require_sp(A, data)
-    gamma = koszul_connection(A)
-    nabla_phi = covariant_derivative_form(data.phi, gamma)
-    psi_d = data.psi.dense()
-    T = np.empty((DIM, DIM))
-    residual = 0.0
-    for m in range(DIM):
-        rhs = nabla_phi[m].dense()
-        T[m] = np.einsum("jkl,qjkl->q", rhs, psi_d) / 24.0
-        defect = np.einsum("p,pjkl->jkl", T[m], psi_d) - rhs
-        residual = max(residual, float(np.max(np.abs(defect))))
-    return T, residual
+    N = _nabla_dense(data.phi, koszul_connection(A)).reshape(DIM, DIM**3)
+    psi = data.psi.dense().reshape(DIM, DIM**3)
+    T = N @ psi.T / 24.0
+    return T, float(np.max(np.abs(T @ psi - N)))
 
 
 def t_circ_t(A: np.ndarray, data: G2Data) -> np.ndarray:

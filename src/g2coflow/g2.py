@@ -277,9 +277,18 @@ def i_psi(h: np.ndarray, data: G2Data) -> KForm:
 
 
 def circ(h: np.ndarray, k: np.ndarray, data: G2Data) -> np.ndarray:
-    """(h o k)_{ab} = phi_{amn} phi_{bpq} h^{mp} k^{nq} on R^7."""
+    """(h o k)_{ab} = phi_{amn} phi_{bpq} h^{mp} k^{nq} on R^7.
+
+    Evaluated as three small matrix products, as circ6 is on the ideal:
+    W_{amq} = phi_{amn} k_{nq} (phi reshaped to 49x7), Y_{apq} = h_{mp}
+    W_{amq} (one batched product h^t W over a), and Y F^t with Y and
+    F = phi both reshaped to 7x49 (rows a and b, columns (p, q)).
+    """
     p = data.phi.dense()
-    return np.einsum("amn,bpq,mp,nq->ab", p, p, h, k)
+    h = np.asarray(h, dtype=float).reshape(DIM, DIM)
+    k = np.asarray(k, dtype=float).reshape(DIM, DIM)
+    Y = h.T @ (p.reshape(DIM * DIM, DIM) @ k).reshape(DIM, DIM, DIM)
+    return Y.reshape(DIM, DIM * DIM) @ p.reshape(DIM, DIM * DIM).T
 
 
 def circ6(s: np.ndarray, t: np.ndarray, data: G2Data) -> np.ndarray:

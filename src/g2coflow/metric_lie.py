@@ -18,7 +18,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import KForm, _flat_index, hodge_star, interior, multi_indices, theta
+from .exterior import (
+    KForm,
+    _flat_index,
+    _slot_axes,
+    from_dense,
+    hodge_star,
+    interior,
+    multi_indices,
+)
 
 __all__ = [
     "DIM",
@@ -159,9 +167,28 @@ def scalar_curvature(ric: np.ndarray) -> float:
     return float(np.trace(ric))
 
 
+def _nabla_dense(alpha: KForm, gamma: np.ndarray) -> np.ndarray:
+    """All seven nabla_{e_m} alpha as one dense (7,)*(k+1) array, m first.
+
+    The constant-coefficient rule (nabla_m alpha)_{..j..} = -sum over slots
+    of Gamma[m,j,p] alpha_{..p..}, i.e. theta(gamma[m]^t) alpha for every m
+    at once: per slot, one product of alpha (that slot last, as in
+    exterior._slot_dot) with Gamma reshaped to 7x49, columns (j, m).
+    """
+    k = alpha.k
+    dense = alpha.dense()
+    G = gamma.transpose(2, 1, 0).reshape(DIM, DIM * DIM)
+    out = np.zeros((DIM,) * (k + 1))
+    for slot in range(k):
+        to_last, back = _slot_axes(k, slot)
+        flat = dense.transpose(to_last).reshape(DIM ** (k - 1), DIM)
+        out -= np.dot(flat, G).reshape((DIM,) * (k + 1)).transpose((k,) + back)
+    return out
+
+
 def covariant_derivative_form(alpha: KForm, gamma: np.ndarray) -> list[KForm]:
     """[nabla_{e_m} alpha for m in 0..6] via the constant-coefficient rule."""
-    return [theta(gamma[m].T, alpha) for m in range(DIM)]
+    return [from_dense(DIM, alpha.k, a) for a in _nabla_dense(alpha, gamma)]
 
 
 def covariant_derivative_tensor(h: np.ndarray, gamma: np.ndarray) -> np.ndarray:

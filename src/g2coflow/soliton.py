@@ -274,26 +274,25 @@ def classify(c: float, tol: float = CERT_TOL) -> str:
     return "expanding" if c < 0 else "shrinking"
 
 
-def expanding_only_audit(report: SolitonReport, data: G2Data, tol: float = CERT_TOL) -> bool:
-    """Certified solitons must have c <= 0, and c = 0 only torsion-free.
+def _torsion_free(A: np.ndarray, data: G2Data) -> bool:
+    """The torsion-free gate, following the two scalar routes: tr JA = 0
+    and S_A = 0 (so S^2 = 0), equivalent to |T| = 0."""
+    T = torsion_forms(A, data).T
+    S = 0.5 * (A + A.T)
+    return bool(
+        abs(np.trace(data.J @ A)) < 1e-8
+        and np.max(np.abs(S @ S)) < 1e-8
+        and np.max(np.abs(T)) < 1e-8
+    )
 
-    The torsion-free gate follows the two scalar routes: tr JA = 0 and
-    S_A = 0 (so S^2 = 0), equivalent to |T| = 0.
-    """
+
+def expanding_only_audit(report: SolitonReport, data: G2Data, tol: float = CERT_TOL) -> bool:
+    """Certified solitons must have c <= 0, and c = 0 only torsion-free."""
     if report.kind == "none":
         return True
     if report.c > tol:
         return False
-    if abs(report.c) <= tol:
-        A = report.A
-        T = torsion_forms(A, data).T
-        S = 0.5 * (A + A.T)
-        return (
-            abs(np.trace(data.J @ A)) < 1e-8
-            and np.max(np.abs(S @ S)) < 1e-8
-            and np.max(np.abs(T)) < 1e-8
-        )
-    return True
+    return abs(report.c) > tol or _torsion_free(report.A, data)
 
 
 def certify(A: np.ndarray, data: G2Data, tol: float = CERT_TOL) -> SolitonReport:
@@ -329,6 +328,11 @@ def certify(A: np.ndarray, data: G2Data, tol: float = CERT_TOL) -> SolitonReport
         X = linear_vector_field(-D)
         residuals["trace_identity"] = trace_identity_check(T, X, -4.0 * c)
 
+    classification = classify(c, tol)
+    if classification == "steady" and not _torsion_free(A, data):
+        # steady means torsion-free: a skew bracket has c = -(1/4)(tr JA)^2,
+        # inside CERT_TOL up to |tr JA| = 2e-4, so the sign decides
+        classification = classify(c, 0.0)
     return SolitonReport(
         kind=kind,
         c=c,
@@ -336,7 +340,7 @@ def certify(A: np.ndarray, data: G2Data, tol: float = CERT_TOL) -> SolitonReport
         A=A,
         D=D,
         residuals=residuals,
-        classification=classify(c, tol),
+        classification=classification,
     )
 
 

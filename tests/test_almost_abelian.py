@@ -22,6 +22,7 @@ from g2coflow.almost_abelian import (
 from g2coflow.exterior import form_norm, theta
 from g2coflow.g2 import canonical_g2, circ, circ6, identity_suite
 from g2coflow.metric_lie import (
+    _nabla_dense,
     ce_differential,
     curvature_tensor,
     hodge_laplacian,
@@ -100,6 +101,13 @@ def test_torsion_dual_route(convention):
     local = np.random.default_rng((20240818, hash(convention) % 2**16))
     for _ in range(10):
         A = random_sp(local, data)
+        # the stack behind nabla phi against the one-matrix action, per m
+        gamma = koszul_connection(A)
+        for form in (data.phi, data.psi):
+            stack = _nabla_dense(form, gamma)
+            for m in range(7):
+                gap = stack[m] - theta(gamma[m].T, form).dense()
+                assert np.max(np.abs(gap)) < 1e-14
         pack = torsion_forms(A, data)
         T_direct, residual = torsion_from_nabla_phi(A, data)
         assert residual < 1e-12

@@ -149,6 +149,25 @@ def test_circ_restriction_to_ideal():
 
 @pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("symmetric", [True, False])
+def test_circ_matches_defining_contraction(convention, symmetric):
+    data = canonical_g2(convention)
+    p = data.phi.dense()
+    for _ in range(5):
+        h = rng.standard_normal((7, 7))
+        k = rng.standard_normal((7, 7))
+        if symmetric:
+            h, k = h + h.T, k + k.T
+        hk = circ(h, k, data)
+        expected = np.einsum("amn,bpq,mp,nq->ab", p, p, h, k)
+        assert np.max(np.abs(hk - expected)) < 1e-13 * np.max(np.abs(expected))
+        # phi is alternating, so o commutes and transposes slotwise
+        assert np.max(np.abs(hk.T - circ(h.T, k.T, data))) < 1e-13 * np.max(
+            np.abs(expected)
+        )
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("symmetric", [True, False])
 def test_circ6_matches_defining_contraction(convention, symmetric):
     data = canonical_g2(convention)
     r = data.rho_plus.dense()[:6, :6, :6]

@@ -236,6 +236,19 @@ def test_su3_certifies_steady():
     assert expanding_only_audit(report, DATA)
 
 
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_steady_needs_torsion_free(convention):
+    # su(3) + eps J has tr JA = -6 eps and c = -(1/4)(tr JA)^2 = -9 eps^2,
+    # inside CERT_TOL for eps = 1e-5, but its torsion is of order eps
+    data = canonical_g2(convention)
+    A = random_su3(np.random.default_rng(31), data)
+    for eps, expected in ((0.0, "steady"), (1e-6, "expanding"), (1e-5, "expanding")):
+        report = certify(A + eps * data.J, data)
+        assert report.kind == "algebraic"
+        assert abs(report.c + 9.0 * eps**2) < 1e-14
+        assert report.classification == expected
+
+
 def test_generic_bracket_is_not_a_soliton():
     A = random_sp(np.random.default_rng(23), DATA)
     report = certify(A, DATA)
