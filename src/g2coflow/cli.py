@@ -134,14 +134,16 @@ def _sample_lie(data: G2Data, rng: np.random.Generator) -> dict[str, float]:
 
 
 def _sample_skew(data: G2Data, rng: np.random.Generator) -> dict[str, float]:
-    A = random_sp_skew(rng, data)
-    ok, residual = soliton.algebraic_check(A, data)
-    c, _ = soliton.soliton_constants(A, data)
-    out = {"skew_algebraic": residual if ok else np.inf}
-    out["skew_c_nonpositive"] = max(c, 0.0)
-    if abs(c) < 1e-10:
-        out["steady_torsion"] = float(np.max(np.abs(torsion_forms(A, data).T)))
-    return out
+    # a skew bracket has c = -(1/4)(tr JA)^2 = -|T|^2, so it is steady exactly
+    # when torsion-free: c from the one symbol record, T from torsion_forms
+    A, _, _, c, _ = terms = soliton._symbol_terms(random_sp_skew(rng, data), data)
+    residual = soliton._algebraic(terms, soliton.CERT_TOL)[0]
+    T = torsion_forms(A, data).T
+    return {
+        "skew_algebraic": residual if residual < soliton.CERT_TOL else np.inf,
+        "skew_c_nonpositive": max(c, 0.0),
+        "c_equals_minus_torsion_sq": abs(c + float(np.sum(T * T))),
+    }
 
 
 # suite -> (default tolerance, default samples, sampler); the appendix suite
@@ -324,10 +326,7 @@ def cmd_soliton(args: argparse.Namespace) -> int:
     if args.skew_sweep is not None:
         conv = args.convention
         merged = _run_sweep(_sample_skew, conv, args.seed, args.skew_sweep, args.jobs)
-        checks = [
-            _check(f"skew_sweep/{name}", v, tol if name != "steady_torsion" else 1e-8)
-            for name, v in merged.items()
-        ]
+        checks = [_check(f"skew_sweep/{name}", v, tol) for name, v in merged.items()]
         print(f"{args.skew_sweep} skew brackets certified")
         return _finish(checks, args.report, convention=conv, seed=args.seed)
 

@@ -488,10 +488,10 @@ def scalar_bound_check(trace: FlowTrace, slack: float = 1e-9) -> dict:
 
     1/(-|t|/2 + 1/R(0)) <= R(t) <= 0 requires R(0) < 0; a flat start makes
     the bound vacuous and is reported as skipped. Also reports whether R
-    increases and |T|^2 decreases along the samples. The comparison
-    argument is one-directional: on a backward trace the inequality flips
-    and the reference point sits at the other end, so the check only
-    applies to forward runs.
+    increases along the samples. The comparison argument is
+    one-directional: on a backward trace the inequality flips and the
+    reference point sits at the other end, so the check only applies to
+    forward runs.
     """
     if trace.meta.get("options", {}).get("direction") == "backward":
         return {"skipped": True, "reason": "forward-time bound on a backward trace"}
@@ -502,15 +502,12 @@ def scalar_bound_check(trace: FlowTrace, slack: float = 1e-9) -> dict:
     bound_ok = bool(
         np.all(trace.R <= slack) and np.all(trace.R >= lower - slack)
     )
-    dR = np.diff(trace.R)
-    dT = np.diff(trace.torsion_sq)
     return {
         "skipped": False,
         "bound_ok": bound_ok,
         "lower_gap": float(np.min(trace.R - lower)),
         "upper_gap": float(np.max(trace.R)),
-        "R_increasing": bool(np.all(dR >= -slack)),
-        "torsion_decreasing": bool(np.all(dT <= slack)),
+        "R_increasing": bool(np.all(np.diff(trace.R) >= -slack)),
     }
 
 

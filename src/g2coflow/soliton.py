@@ -48,7 +48,6 @@ __all__ = [
     "general_soliton_conditions",
     "trace_identity_check",
     "classify",
-    "expanding_only_audit",
     "certify",
     "self_similar_bracket",
     "load_example",
@@ -286,19 +285,14 @@ def _torsion_free(A: np.ndarray, data: G2Data) -> bool:
     )
 
 
-def expanding_only_audit(report: SolitonReport, data: G2Data, tol: float = CERT_TOL) -> bool:
-    """Certified solitons must have c <= 0, and c = 0 only torsion-free."""
-    if report.kind == "none":
-        return True
-    if report.c > tol:
-        return False
-    return abs(report.c) > tol or _torsion_free(report.A, data)
-
-
 def certify(A: np.ndarray, data: G2Data, tol: float = CERT_TOL) -> SolitonReport:
     """Full pipeline: constants, algebraic check, derivation search,
     PDE and trace-identity residuals, all stages on one _symbol_terms
-    record (one sp gate and one symbol evaluation per certificate)."""
+    record (one symbol evaluation per certificate).
+
+    The classification is the package's one steadiness verdict: steady
+    when |c| <= tol and the bracket is torsion-free, otherwise the sign
+    of c."""
     A, _, _, c, d = terms = _symbol_terms(A, data)
     alg_res, D, derivation = _algebraic(terms, tol)
     residuals: dict = {"algebraic_eq": alg_res}

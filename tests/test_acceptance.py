@@ -32,6 +32,7 @@ from g2coflow.coflow import (
 )
 from g2coflow.exterior import form_norm, theta
 from g2coflow.g2 import (
+    CONVENTIONS,
     assemble_4form,
     bianchi_defect,
     canonical_g2,
@@ -96,7 +97,7 @@ def test_criterion_02_laplacian_symbol_oracle():
     start = time.monotonic()
     worst = 0.0
     for data in BOTH:
-        rng = np.random.default_rng((1002, hash(data.convention) % 2**16))
+        rng = np.random.default_rng((1002, CONVENTIONS.index(data.convention)))
         for _ in range(50):
             A = random_sp(rng, data)
             gap = form_norm(
@@ -112,7 +113,7 @@ def test_criterion_02_laplacian_symbol_oracle():
 def test_criterion_03_torsion_dual_route():
     worst = 0.0
     for data in BOTH:
-        rng = np.random.default_rng((1003, hash(data.convention) % 2**16))
+        rng = np.random.default_rng((1003, CONVENTIONS.index(data.convention)))
         for _ in range(500):
             A = random_sp(rng, data)
             T_closed = torsion_forms(A, data).T
@@ -125,7 +126,7 @@ def test_criterion_03_torsion_dual_route():
 def test_criterion_04_curvature_identities():
     worst = {"div": 0.0, "curl_sym": 0.0, "ricci": 0.0, "bianchi": 0.0}
     for data in BOTH:
-        rng = np.random.default_rng((1004, hash(data.convention) % 2**16))
+        rng = np.random.default_rng((1004, CONVENTIONS.index(data.convention)))
         for _ in range(50):
             A = random_sp(rng, data)
             T = torsion_forms(A, data).T
@@ -159,7 +160,7 @@ def test_criterion_05_closed_forms_vs_chevalley_eilenberg():
     worst_lap = 0.0
     worst_lie = 0.0
     for data in BOTH:
-        rng = np.random.default_rng((1005, hash(data.convention) % 2**16))
+        rng = np.random.default_rng((1005, CONVENTIONS.index(data.convention)))
         for _ in range(50):
             A = random_sp(rng, data)
             pack = torsion_forms(A, data)
@@ -199,7 +200,8 @@ def test_criterion_06_long_horizon_flow():
         check = scalar_bound_check(trace)
         assert not check["skipped"]
         assert check["bound_ok"], check
-        assert check["R_increasing"] and check["torsion_decreasing"], check
+        assert check["R_increasing"], check
+        assert np.max(np.diff(trace.torsion_sq)) <= 1e-9
         # central difference of |A|^2 against the closed-form derivative
         sol = solve_ivp(
             lambda t, y: rhs(y.reshape(6, 6), DATA_S4).ravel(),
@@ -254,18 +256,21 @@ def test_criterion_07_shipped_example():
 
 
 def test_criterion_08_skew_sweep():
+    # a skew bracket has c = -(1/4)(tr JA)^2 = -|T|^2, so it is steady
+    # exactly when torsion-free; the identity is checked on every sample
     rng = np.random.default_rng(1008)
-    steady = 0
+    worst = 0.0
     for _ in range(500):
         A = random_sp_skew(rng, DATA_S4)
         report = certify(A, DATA_S4)
         assert report.kind == "algebraic"
         assert report.c <= 1e-10
-        if abs(report.c) < 1e-10:
-            steady += 1
-            T = torsion_forms(A, DATA_S4).T
-            assert np.max(np.abs(T)) < 1e-8
-    print(f"criterion 8 PASS: 500 skew brackets all algebraic, {steady} steady")
+        T = torsion_forms(A, DATA_S4).T
+        worst = max(worst, abs(report.c + float(np.sum(T * T))))
+    assert worst < 1e-12, worst
+    print(
+        f"criterion 8 PASS: 500 skew brackets all algebraic, c = -|T|^2 to {worst:.2e}"
+    )
 
 
 def test_criterion_09_planar_reduction():

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from g2coflow import cli, soliton
-from g2coflow.almost_abelian import random_sp
+from g2coflow.almost_abelian import random_sp, random_su3
 from g2coflow.cli import main
-from g2coflow.g2 import canonical_g2
+from g2coflow.g2 import CONVENTIONS, canonical_g2
 
 
 def write_bracket(path, A):
@@ -334,9 +334,53 @@ def test_soliton_skew_sweep(tmp_path, capsys):
     assert "skew_algebraic" in out and "FAIL" not in out
     record = json.loads(report_path.read_text())
     assert sorted(record) == ["checks", "convention", "pass", "seed"]
+    assert [chk["name"] for chk in record["checks"]] == [
+        "skew_sweep/skew_algebraic",
+        "skew_sweep/skew_c_nonpositive",
+        "skew_sweep/c_equals_minus_torsion_sq",
+    ]
     assert record["convention"] == "section4" and record["seed"] == 2
     assert record["pass"] is True
     assert all(f"PASS {chk['name']}:" in out for chk in record["checks"])
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_near_steady_skew_sweep_passes(monkeypatch, convention, capsys):
+    # su(3) + eps J has c = -9 eps^2 = -|T|^2: expanding, not steady, and
+    # not torsion-free, which the sweep must not read as a failure
+    eps = 2e-6
+    drawn = []
+
+    def near_steady(rng, data):
+        drawn.append(random_su3(rng, data) + eps * data.J)
+        return drawn[-1]
+
+    monkeypatch.setattr(cli, "random_sp_skew", near_steady)
+    argv = ["soliton", "check", "--skew-sweep", "3", "--convention", convention]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "PASS skew_sweep/c_equals_minus_torsion_sq" in out and "FAIL" not in out
+    data = canonical_g2(convention)
+    for A in drawn:
+        report = soliton.certify(A, data)
+        assert report.classification == "expanding"
+        assert abs(report.c + 9.0 * eps**2) < 1e-14
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_skew_sample_reads_one_symbol_record(monkeypatch, convention):
+    calls = []
+    inner = soliton._symbol_terms
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(soliton, "_symbol_terms", counted)
+    data = canonical_g2(convention)
+    for i in range(4):
+        cli._sample_skew(data, np.random.default_rng((5, i)))
+        assert len(calls) == i + 1
 
 
 def test_phase_grid_csv(tmp_path):
@@ -477,7 +521,6 @@ def test_flow_nan_scalar_bound_gap_fails(monkeypatch, sp_bracket, tmp_path, caps
         "lower_gap": math.nan,
         "upper_gap": 0.0,
         "R_increasing": True,
-        "torsion_decreasing": True,
     }
     monkeypatch.setattr(cli.coflow, "scalar_bound_check", lambda trace: bound)
     out = str(tmp_path / "trace.csv")

@@ -28,7 +28,6 @@ from g2coflow.soliton import (
     algebraic_check,
     certify,
     classify,
-    expanding_only_audit,
     find_derivation,
     general_soliton_conditions,
     load_example,
@@ -116,7 +115,7 @@ def test_fixture_certify_report():
     assert abs(report.d - 1.0) < 1e-13
     assert report.residuals["pde"] < 1e-12
     assert report.residuals["trace_identity"] < 1e-12
-    assert expanding_only_audit(report, DATA)
+    assert report.classification != "shrinking"
     blob = json.dumps(report.to_dict())
     assert "semi_algebraic" in blob
 
@@ -224,7 +223,7 @@ def test_complex_structure_bracket_is_algebraic():
     assert report.classification == "expanding"
     # D = Q - cI = diag(9 I_6, 0) rescales the ideal
     assert np.max(np.abs(report.D - np.diag([9.0] * 6 + [0.0]))) < 1e-13
-    assert expanding_only_audit(report, data)
+    assert report.classification != "shrinking"
 
 
 def test_su3_certifies_steady():
@@ -233,7 +232,7 @@ def test_su3_certifies_steady():
     assert report.kind == "algebraic"
     assert report.classification == "steady"
     assert abs(report.c) < 1e-12
-    assert expanding_only_audit(report, DATA)
+    assert report.classification != "shrinking"
 
 
 @pytest.mark.parametrize("convention", CONVENTIONS)
@@ -254,7 +253,7 @@ def test_generic_bracket_is_not_a_soliton():
     report = certify(A, DATA)
     assert report.kind == "none"
     assert report.D is None
-    assert expanding_only_audit(report, DATA)
+    assert report.classification != "shrinking"
 
 
 def test_skew_sweep_all_algebraic():
@@ -265,7 +264,7 @@ def test_skew_sweep_all_algebraic():
         assert report.kind == "algebraic"
         assert report.c <= 1e-10
         assert report.residuals["soliton_eq"] < 1e-10
-        assert expanding_only_audit(report, DATA)
+        assert report.classification != "shrinking"
 
 
 def test_classify_bands():
