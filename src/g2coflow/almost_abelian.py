@@ -153,40 +153,51 @@ def t_circ_t(A: np.ndarray, data: G2Data) -> np.ndarray:
     )
 
 
-def _symbol_workspace(data: G2Data) -> tuple[np.ndarray, ...]:
-    """P and M of data._symbol_quadratic with buffers for z, z (x) z and w
-    of _laplacian_symbol and the views it reads them through, bound once
-    for a caller that evaluates the symbol many times (the flow right-hand
-    sides)."""
+def _symbol_workspace(data: G2Data, n: int | None = None) -> tuple:
+    """P^t and M^t of data._symbol_quadratic with buffers for z, z (x) z and
+    w of _laplacian_symbol and the views it reads them through, for one
+    bracket (n None) or a stack of n brackets; bound once for a caller
+    that evaluates the symbol many times (the flow right-hand side). z (x) z
+    is one BLAS outer product for a bracket (np.dot, at a lower per-call
+    cost) and one broadcast product for a stack (np.multiply, faster than
+    np.matmul's batched outer products)."""
     P, M = data._symbol_quadratic
-    z, zz, w = np.empty(21), np.empty((21, 21)), np.empty(37)
-    Qh = w[:36].reshape(6, 6)
-    return P, M, z, z[:, None], z[None, :], zz, zz.reshape(441), w, Qh
+    stack = () if n is None else (n,)
+    z, zz, w = (np.empty(stack + shape) for shape in ((21,), (21, 21), (37,)))
+    outer, q = (np.dot, None) if n is None else (np.multiply, w[:, 36:, None])
+    Qh = w[..., :36].reshape(stack + (6, 6))
+    zz_flat = zz.reshape(stack + (441,))
+    z_col, z_row = z[..., None], z[..., None, :]
+    return P.T, M.T, stack + (36,), outer, z, z_col, z_row, zz, zz_flat, w, Qh, q
 
 
 def _laplacian_symbol(
-    A: np.ndarray, data: G2Data, work: tuple[np.ndarray, ...] | None = None
-) -> tuple[np.ndarray, float]:
+    A: np.ndarray, data: G2Data, work: tuple | None = None
+) -> tuple[np.ndarray, float | np.ndarray]:
     """(Qh, q) of q_matrix without the sp(R^6) gate: the flow right-hand
     sides call this on every evaluation, with the bracket already checked
     once at the start.
 
     Evaluated as the precomputed quadratic form data._symbol_quadratic on
     the coordinates z = P vec(A), i.e. on the orthogonal projection of A
-    onto sp(R^6); on sp(R^6) it equals the closed form to rounding. z,
-    z (x) z and w = M (z (x) z) are written into work, a _symbol_workspace
-    of data (a fresh one when None); Qh is a view of w, valid until work is
-    reused. z (x) z is one BLAS outer product: where it gives +0.0 for the
-    broadcast product's -0.0, w is the same, since M's sums start at +0.0.
+    onto sp(R^6); on sp(R^6) it equals the closed form to rounding. A is
+    one bracket, giving a float q, or a stack (n, 6, 6), giving Qh (n, 6, 6)
+    and q (n, 1, 1); BLAS may sum a stack's products in another order, so
+    its rows agree with single brackets to rounding. z, z (x) z and
+    w = M (z (x) z) are written into work, a _symbol_workspace of data for
+    A's shape (a fresh one when None); Qh and a stack's q are views of w,
+    valid until work is reused. Where the BLAS outer product gives +0.0 for
+    the broadcast product's -0.0, w is the same, since M's sums start at
+    +0.0.
     """
-    P, M, z, z_col, z_row, zz, zz_flat, w, Qh = (
-        _symbol_workspace(data) if work is None else work
-    )
+    if work is None:
+        work = _symbol_workspace(data, len(A) if A.ndim == 3 else None)
+    PT, MT, vec, outer, z, z_col, z_row, zz, zz_flat, w, Qh, q = work
     dot = np.dot
-    dot(P, A.reshape(36), z)
-    dot(z_col, z_row, zz)
-    dot(M, zz_flat, w)
-    return Qh, w.item(36)
+    dot(A.reshape(vec), PT, z)
+    outer(z_col, z_row, zz)
+    dot(zz_flat, MT, w)
+    return Qh, w.item(36) if q is None else q
 
 
 def q_matrix(A: np.ndarray, data: G2Data) -> np.ndarray:

@@ -4,7 +4,9 @@ The coflow of invariant coclosed structures reduces to a matrix ODE on
 sp(R^6): dA/dt = q_A A - [Q^h_A, A], whose solutions stay symplectic. The
 geometric solution is recovered from the endomorphism flow dh/dt = -Q_A h
 with h(0) = I: psi(t) = pullback(h(t), psi) solves d/dt psi = Delta psi,
-and A(t) = a(t)^{-1} k(t) A(0) k(t)^{-1} for h = blockdiag(k, a).
+and A(t) = a(t)^{-1} k(t) A(0) k(t)^{-1} for h = blockdiag(k, a). h is
+formed on a trajectory's own accepted steps (_h_on_steps): the stages of
+all steps at once, on stacks, and one propagator product per step.
 
 Integration uses an in-house adaptive Dormand-Prince 5(4) pair, _dopri,
 whose step control follows scipy's RK45 exactly (same initial step,
@@ -17,9 +19,9 @@ each flow right-hand side binds the symbol's matrices and workspace
 made; _dopri binds the stage matrix, the views of it that the steps read
 and the buffers of its stage arguments and error terms once per call. So
 a step allocates no array besides y_new, the new state that its sample
-keeps (dense output at t_eval points or at an event adds its own). Every
-floating-point operation is the one an allocating evaluation would make,
-in the same order, so the steps are bit-identical to scipy's. No
+keeps (the interpolant at an event adds its own). Every floating-point
+operation is the one an allocating evaluation would make, in the same
+order, so the steps are bit-identical to scipy's. No
 structure projection is performed: once the stepper returns, integrate
 checks the symplectic drift of every sample as an integrator health check
 and fails the run at the first one beyond the configured tolerance, so an
@@ -176,6 +178,7 @@ class _Solution(NamedTuple):
     t: np.ndarray
     y: np.ndarray  # one row per sample
     nfev: int
+    rejected: int  # nfev = 2 + 6 (accepted + rejected) when t_bound != t0
     status: int  # 0 reached t_bound, 1 stopped by the event, -1 step underflow
     message: str
 
@@ -202,13 +205,14 @@ def _initial_step(fun, t0, y0, f0, t_bound, max_step, direction, rtol, atol):
     return min(100 * h0, h1, interval, max_step)
 
 
-def _interpolate(Q: np.ndarray, t_old: float, h: float, y_old: np.ndarray, t):
-    """Quartic interpolant of the step from t_old to t_old + h at t (a
-    scalar, or a 1-D array giving one row per point); Q = K.T @ _DP_P holds
-    the step's dense-output coefficients, for its stage matrix K."""
-    x = (np.asarray(t, dtype=float) - t_old) / h
-    p = np.cumprod(np.multiply.outer(np.ones(4), x), axis=0)
-    return (h * (Q @ p)).T + y_old
+def _interpolate(
+    Q: np.ndarray, t_old: float, h: float, y_old: np.ndarray, t: float
+) -> np.ndarray:
+    """Quartic interpolant of the step from t_old to t_old + h at t; Q =
+    K.T @ _DP_P holds the step's dense-output coefficients, for its stage
+    matrix K."""
+    p = np.cumprod(np.full(4, (t - t_old) / h))
+    return h * (Q @ p) + y_old
 
 
 def _dopri(
@@ -219,7 +223,6 @@ def _dopri(
     rtol: float,
     atol: float,
     max_step: float = np.inf,
-    t_eval: np.ndarray | None = None,
     event: Callable[[float, np.ndarray], float] | None = None,
 ) -> _Solution:
     """Adaptive Dormand-Prince 5(4) integration of dy/dt = f(t, y).
@@ -229,11 +232,11 @@ def _dopri(
     control is scipy's RK45: Hairer's initial step, RMS error norm
     over atol + rtol max(|y|, |y_new|), safety 0.9, step factors in
     [0.2, 10], no growth right after a rejection, and a floor of ten ulps
-    of t. Samples are the accepted steps, or the dense output at t_eval
-    (ordered in the direction of integration). event(t, y) is terminal:
-    when it changes sign over a step, its root on the step's interpolant is
-    located by bisection and becomes the last sample. The stepper checks
-    nothing about the samples; callers gate them once it returns.
+    of t. Samples are the accepted steps; rejected steps are counted.
+    event(t, y) is terminal: when it changes sign over a step, its root on
+    the step's interpolant is located by bisection and becomes the last
+    sample. The stepper checks nothing about the samples; callers gate them
+    once it returns.
     """
     rtol = max(rtol, 100 * _EPS)
     direction = 1.0 if t_bound >= t0 else -1.0
@@ -257,15 +260,10 @@ def _dopri(
     # error scale and error estimate
     arg, abs_y, abs_new, scale, err = np.empty((5, y.size))
     np.abs(y, out=abs_y)
-    if t_eval is None:
-        ts, ys = [t], [y]
-    else:
-        t_eval = np.asarray(t_eval, dtype=float)
-        ahead = direction * t_eval
-        i_eval = 0
-        ts, ys = [], []
+    ts, ys = [t], [y]
     g = event(t, y) if event is not None else 0.0
     status = 0
+    rejections = 0
     while direction * (t - t_bound) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = min(max(h_abs, min_step), max_step)
@@ -305,6 +303,7 @@ def _dopri(
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
             rejected = True
+            rejections += 1
         if status == -1:
             break
         t_old, y_old = t, y
@@ -316,26 +315,14 @@ def _dopri(
                 t, y = _event_root(event, KT @ _DP_P, t_old, t, y_old, g)
                 status = 1
             g = g_new
-        if t_eval is None:
-            ts.append(t)
-            ys.append(y)
-        else:
-            i_new = int(np.searchsorted(ahead, direction * t, side="right"))
-            if i_new > i_eval:
-                ts.append(t_eval[i_eval:i_new])
-                Q = KT @ _DP_P
-                ys.append(_interpolate(Q, t_old, h, y_old, t_eval[i_eval:i_new]))
-                i_eval = i_new
+        ts.append(t)
+        ys.append(y)
         if status == 1:
             break
         K_first[...] = K_last
-    if t_eval is None:
-        t_out, y_out = np.array(ts), np.array(ys)
-    elif ts:
-        t_out, y_out = np.concatenate(ts), np.concatenate(ys)
-    else:
-        t_out, y_out = np.empty(0), np.empty((0, y.size))
-    return _Solution(t_out, y_out, nfev, status, _MESSAGES[status])
+    return _Solution(
+        np.array(ts), np.array(ys), nfev, rejections, status, _MESSAGES[status]
+    )
 
 
 def _event_root(event, Q, t_old, t_new, y_old, g_old) -> tuple[float, np.ndarray]:
@@ -363,12 +350,15 @@ def _worst(*values: float) -> float:
 
 
 def _bracket_rhs(
-    A: np.ndarray, Qh: np.ndarray, q: float, F: np.ndarray, tmp: np.ndarray
+    A: np.ndarray, Qh: np.ndarray, q, F: np.ndarray, tmp: np.ndarray
 ) -> None:
-    """F = A Qh - Qh A + q A, written into F; tmp is a 6x6 scratch buffer.
-    (np.dot makes matmul's BLAS call at a lower per-call cost.)"""
-    np.dot(A, Qh, F)
-    F -= np.dot(Qh, A, tmp)
+    """F = A Qh - Qh A + q A, written into F; tmp is a scratch buffer of F's
+    shape. A, Qh and F are one 6x6 bracket, or (n, 6, 6) stacks with q of
+    shape (n, 1, 1). np.dot makes matmul's BLAS call at a lower per-call
+    cost but does not batch, so a stack goes through np.matmul."""
+    dot = np.dot if A.ndim == 2 else np.matmul
+    dot(A, Qh, F)
+    F -= dot(Qh, A, tmp)
     F += np.multiply(A, q, tmp)
 
 
@@ -466,6 +456,7 @@ def integrate(A0: np.ndarray, opts: IntegratorOptions, data: G2Data) -> FlowTrac
         "status": sol.status,
         "message": sol.message,
         "nfev": sol.nfev,
+        "rejected_steps": sol.rejected,
         "samples": int(len(ts)),
         "min_accepted_step": float(np.min(np.abs(diffs))) if len(diffs) else 0.0,
         "max_sp_drift": float(drift.max()),
@@ -493,7 +484,7 @@ def scalar_bound_check(trace: FlowTrace, slack: float = 1e-9) -> dict:
     reference point sits at the other end, so the check only applies to
     forward runs.
     """
-    if trace.meta.get("options", {}).get("direction") == "backward":
+    if _backward(trace):
         return {"skipped": True, "reason": "forward-time bound on a backward trace"}
     R0 = trace.R[0]
     if R0 >= -1e-14:
@@ -511,58 +502,71 @@ def scalar_bound_check(trace: FlowTrace, slack: float = 1e-9) -> dict:
     }
 
 
-def _joint_rhs(data: G2Data) -> Callable[[float, np.ndarray, np.ndarray], None]:
-    """fun(t, y, out) of the joint flow of y = (vec A, vec h), for _dopri:
-    dA/dt by _flow_rhs and dh/dt = -Q_A h with the symbol it returns."""
-    flow = _flow_rhs(data)
-
-    def fun(t: float, y: np.ndarray, out: np.ndarray) -> None:
-        Qh, q = flow(t, y[:36], out[:36])
-        # -Q h for Q = blockdiag(Qh, q), block by block. Negation is exact,
-        # so -(Qh h) has the bits of (-Qh) h up to the sign of an exact
-        # zero, which never reaches h: h(0) = I holds no -0.0, and a sum
-        # y + dy is -0.0 only when y is.
-        dh = out[36:78].reshape(6, DIM)
-        np.dot(Qh, y[36:78].reshape(6, DIM), dh)
-        np.negative(dh, dh)
-        np.multiply(y[78:], -q, out[78:])
-
-    return fun
+def _backward(trace: FlowTrace) -> bool:
+    """Whether the trace ran backward: it is stored time-ascending, so it
+    starts (t = 0, h = I) at its last sample."""
+    return trace.meta.get("options", {}).get("direction") == "backward"
 
 
-def _joint_h(A0: np.ndarray, ts: np.ndarray, data: G2Data, rtol: float, atol: float):
-    """h(t) at each of ts (ordered in the direction of integration) of the
-    joint flow of (A, h) from (A0, I) at ts[0], as an (n, 7, 7) stack."""
-    y0 = np.concatenate([A0.ravel(), np.eye(DIM).ravel()])
-    sol = _dopri(_joint_rhs(data), ts[0], y0, ts[-1], rtol, atol, t_eval=ts)
-    if sol.status != 0:
-        raise IntegrationError(f"joint (A, h) integration failed: {sol.message}")
-    return sol.y[:, 36:].reshape(-1, DIM, DIM)
+def _h_on_steps(ts: np.ndarray, As: np.ndarray, data: G2Data) -> np.ndarray:
+    """h at each of ts, in the direction of integration, for dh/dt = -Q_A h
+    and h(ts[0]) = I, as a (len(ts), 7, 7) stack; A is As[i] at ts[i], and
+    the samples are the accepted steps of a Dormand-Prince run.
+
+    Each step is the Dormand-Prince 5 step of the joint flow of (A, h) from
+    its start sample over its length, on which alone its stages depend, so
+    the six stages of every step are evaluated at once, on (n, 6, 6)
+    stacks. dh/dt is linear in h, so a step maps h to H h, with the
+    propagator H formed from its stages, and h is the running product of
+    the propagators. H = blockdiag(K, a), as Q is block diagonal.
+    """
+    dt = np.diff(ts)[:, None, None]
+    n = len(dt)
+    work = _symbol_workspace(data, n)
+    dA = np.empty((6, n, 6, 6))  # each stage's dA/dt
+    dH = np.empty((6, n, DIM, DIM))  # and dH/dt = -Q H
+    Q = np.zeros((n, DIM, DIM))
+    tmp = np.empty((n, 6, 6))
+    eye = np.eye(DIM)
+    for s in range(6):
+        a = _DP_A[s, :s]
+        arg = As[:-1] + dt * np.tensordot(a, dA[:s], 1)
+        Q[:, :6, :6], Q[:, 6:, 6:] = _laplacian_symbol(arg, data, work)
+        _bracket_rhs(arg, Q[:, :6, :6], Q[:, 6:, 6:], dA[s], tmp)
+        H = eye + dt * np.tensordot(a, dH[:s], 1)
+        np.negative(np.matmul(Q, H, dH[s]), dH[s])
+    hs = np.empty((n + 1, DIM, DIM))
+    hs[0] = eye
+    for i, H in enumerate(eye + dt * np.tensordot(_DP_B, dH, 1)):
+        np.dot(H, hs[i], hs[i + 1])
+    return hs
 
 
 def reconstruct_h(trace: FlowTrace, data: G2Data) -> np.ndarray:
     """h(t) with dh/dt = -Q_{A(t)} h, h(0) = I, on the trace's time grid.
 
-    Integrated jointly with the bracket flow, at the trace's tolerances, so
-    Q is evaluated on the matching trajectory rather than interpolated.
+    Formed on the trace's own accepted steps: h is the Dormand-Prince 5
+    solution of the joint flow of (A, h) on those steps, Q evaluated at
+    each step's stages from its start sample. h gets no step control of
+    its own; the trace's steps control A, and h is as accurate as the trace.
     """
-    opts = trace.meta["options"]
-    backward = opts["direction"] == "backward"
-    ts = trace.ts[::-1] if backward else trace.ts
-    A0 = trace.As[-1 if backward else 0]
-    hs = _joint_h(A0, ts, data, opts["rel_tol"], opts["abs_tol"])
-    return hs[::-1] if backward else hs
+    ts, As = trace.ts, trace.As
+    if _backward(trace):
+        return _h_on_steps(ts[::-1], As[::-1], data)[::-1]
+    return _h_on_steps(ts, As, data)
 
 
 def reconstruction_gap(trace: FlowTrace, hs: np.ndarray) -> float:
-    """max |A(t) - a(t)^{-1} k(t) A(0) k(t)^{-1}| over the trace.
+    """max |A(t) - a(t)^{-1} k(t) A(0) k(t)^{-1}| over the trace, A(0) the
+    sample where the trace starts.
 
     h = blockdiag(k, a) stays block diagonal because Q is; the identity
     pins the pairing between the h-evolution and the bracket trajectory.
     """
     ks = hs[:, :6, :6]
+    A0 = trace.As[-1 if _backward(trace) else 0]
     # A(t) = a^{-1} k A0 k^{-1}, solved as k^t X = (k A0)^t over the stack
-    kA0t = np.swapaxes(ks @ trace.As[0], 1, 2)
+    kA0t = np.swapaxes(ks @ A0, 1, 2)
     recon = np.swapaxes(np.linalg.solve(np.swapaxes(ks, 1, 2), kA0t), 1, 2)
     recon /= hs[:, 6, 6][:, None, None]
     return max(
@@ -585,13 +589,30 @@ def coflow_pde_residuals(
 
     Central differences over each dt; the Laplacian uses the evolving Gram
     matrix g(t) = h(t)^t h(t). Residuals should fall off as O(dt^2) until
-    the integration tolerance floor.
+    the integration tolerance floor. times and dts must be non-empty,
+    finite and positive, and every time must exceed the largest dt. The
+    bracket flow is integrated in segments that each end on a needed time,
+    so every h is taken at the end of a step.
     """
+    if not len(times) or not len(dts):
+        raise ValueError("times and dts must be non-empty")
+    if not all(math.isfinite(x) and x > 0 for x in (*times, *dts)):
+        raise ValueError("times and dts must be finite and positive")
+    if not min(times) > max(dts):
+        raise ValueError("every time must exceed the largest dt")
     A0 = require_sp(A0, data)
-    needed = sorted({0.0} | {t + s * dt for t in times for dt in dts for s in (-1, 0, 1)})
-    if min(needed) < 0:
-        raise ValueError("times must exceed the largest dt")
-    h_at = dict(zip(needed, _joint_h(A0, np.array(needed), data, rel_tol, abs_tol)))
+    needed = sorted({t + s * dt for t in times for dt in dts for s in (-1, 0, 1)})
+    flow = _flow_rhs(data)
+    ts, ys, ends = [0.0], [A0.ravel()], []
+    for t_end in needed:
+        sol = _dopri(flow, ts[-1], ys[-1], t_end, rel_tol, abs_tol)
+        if sol.status != 0:
+            raise IntegrationError(f"bracket flow integration failed: {sol.message}")
+        ts.extend(sol.t[1:])
+        ys.extend(sol.y[1:])
+        ends.append(len(ts) - 1)
+    hs = _h_on_steps(np.array(ts), np.array(ys).reshape(-1, 6, 6), data)
+    h_at = dict(zip(needed, hs[ends]))
     psi_at = {t: pullback(h, data.psi) for t, h in h_at.items()}
     lap_at = {t: hodge_laplacian(psi_at[t], A0, g=h_at[t].T @ h_at[t]) for t in times}
 

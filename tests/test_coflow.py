@@ -78,34 +78,45 @@ def test_rhs_tangent_to_sp_and_norm_derivative():
         assert closed <= 1e-12
 
 
+def _stacked(As, data):
+    """The stacked symbol (Qh, q) and right-hand side of a (n, 6, 6) stack."""
+    Qh, q = _laplacian_symbol(As, data)
+    F = np.empty_like(As)
+    coflow._bracket_rhs(As, Qh, q, F, np.empty_like(As))
+    return Qh, q, F
+
+
 @pytest.mark.parametrize("convention", CONVENTIONS)
-def test_joint_rhs_shares_one_symbol(convention):
+def test_stacked_symbol_and_rhs_match_per_bracket(convention):
     data = canonical_g2(convention)
-    for _ in range(5):
-        A = random_sp(rng, data)
-        h = rng.standard_normal((7, 7))
-        out = np.empty(85)
-        coflow._joint_rhs(data)(0.0, np.concatenate([A.ravel(), h.ravel()]), out)
-        assert np.max(np.abs(out[:36].reshape(6, 6) - rhs(A, data))) < 1e-14
-        expected_dh = -q_matrix(A, data) @ h
-        assert np.max(np.abs(out[36:].reshape(7, 7) - expected_dh)) < 1e-14
+    As = np.array([3.0 * random_sp(rng, data) for _ in range(40)])
+    Qh, q, F = _stacked(As, data)
+    assert Qh.shape == F.shape == As.shape and q.shape == (len(As), 1, 1)
+    for i, A in enumerate(As):
+        Qh_i, q_i = _laplacian_symbol(A, data)
+        w_i = np.append(Qh_i, q_i)
+        w_stack = np.append(Qh[i], q[i])
+        assert np.max(np.abs(w_stack - w_i)) <= 1e-15 * np.max(np.abs(w_i))
+        F_i = rhs(A, data)
+        assert np.max(np.abs(F[i] - F_i)) <= 1e-15 * np.max(np.abs(F_i))
+        # a 1-row stack keeps the single bracket's bits
+        Qh1, q1, F1 = _stacked(A[None], data)
+        assert Qh1[0].tobytes() == Qh_i.tobytes()
+        assert q1.item() == q_i
+        assert F1[0].tobytes() == F_i.tobytes()
 
 
 @pytest.mark.parametrize("convention", CONVENTIONS)
 def test_write_into_rhs_equal_the_allocating_block_formula(convention):
     data = canonical_g2(convention)
-    flow, joint = coflow._flow_rhs(data), coflow._joint_rhs(data)
-    K = np.empty((3, 85))  # rows of a stage matrix, as _dopri passes them
+    flow = coflow._flow_rhs(data)
+    K = np.empty((3, 36))  # rows of a stage matrix, as _dopri passes them
     for _ in range(3):
         A = random_sp(rng, data)
-        h = rng.standard_normal((7, 7))
         Qh, q = _laplacian_symbol(A, data)
         dA = (A @ Qh - Qh @ A + q * A).ravel()
-        dh = np.concatenate([(-Qh @ h[:6]).ravel(), -q * h[6]])
-        joint(0.0, np.concatenate([A.ravel(), h.ravel()]), K[1])
-        assert np.array_equal(K[1], np.concatenate([dA, dh]))
-        flow(0.0, A.ravel(), K[2, :36])
-        assert np.array_equal(K[2, :36], dA)
+        flow(0.0, A.ravel(), K[2])
+        assert np.array_equal(K[2], dA)
         assert np.array_equal(rhs(A, data).ravel(), dA)
 
 
@@ -265,6 +276,25 @@ def test_meta_fields():
     assert meta["min_accepted_step"] > 0
 
 
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("backward", [False, True])
+def test_meta_counts_every_step(convention, backward):
+    """nfev = 2 + 6 (accepted + rejected): the start, the initial-step
+    probe and six evaluations per attempted step."""
+    data = canonical_g2(convention)
+    if backward:
+        opts = IntegratorOptions(t_end=10.0, direction="backward", norm_ceiling=1e4)
+    else:
+        opts = IntegratorOptions(t_end=100.0)
+    rejected = 0
+    for seed in range(3):
+        meta = integrate(_start(seed, data), opts, data).meta
+        assert meta["nfev"] == 2 + 6 * (meta["samples"] - 1 + meta["rejected_steps"])
+        rejected += meta["rejected_steps"]
+    if backward:
+        assert rejected > 0
+
+
 def test_h_reconstruction_pairs_with_bracket_trajectory():
     fixture = load_example("nilpotent3")
     data = canonical_g2(fixture["convention"])
@@ -280,8 +310,9 @@ def test_h_reconstruction_pairs_with_bracket_trajectory():
 
 
 def reconstruction_gap_loop(trace, hs):
-    """Reference: the per-sample solve and maxima."""
-    A0 = trace.As[0]
+    """Reference: the per-sample solve and maxima, anchored where the trace
+    starts (t = 0)."""
+    A0 = trace.As[-1 if trace.meta["options"]["direction"] == "backward" else 0]
     worst = 0.0
     for A, h in zip(trace.As, hs):
         k = h[:6, :6]
@@ -304,6 +335,96 @@ def test_reconstruction_gap_matches_per_sample_loop():
     off = hs.copy()
     off[len(off) // 2, 6, 2] = 0.5
     assert reconstruction_gap(trace, off) == 0.5
+    backward = integrate(
+        fixture["A"], IntegratorOptions(direction="backward", norm_ceiling=10.0), data
+    )
+    hs = reconstruct_h(backward, data)
+    assert reconstruction_gap(backward, hs) == reconstruction_gap_loop(backward, hs)
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_reconstruction_gap_on_backward_traces(convention):
+    """A backward trace starts (h = I) at its last sample, t = 0."""
+    data = canonical_g2(convention)
+    opts = IntegratorOptions(direction="backward", norm_ceiling=10.0)
+    for seed in range(3):
+        trace = integrate(_start(seed, data), opts, data)
+        assert trace.meta["termination"] == "norm_ceiling"
+        hs = reconstruct_h(trace, data)
+        assert np.max(np.abs(hs[-1] - np.eye(7))) == 0.0
+        assert reconstruction_gap(trace, hs) < 1e-7
+
+
+def _joint_reference(trace, data, rtol=1e-13, atol=1e-15):
+    """h on the trace's samples from scipy's DOP853 on the joint flow of
+    (A, h), built from the public rhs and q_matrix."""
+
+    def fun(t, y):
+        A = y[:36].reshape(6, 6)
+        dh = -q_matrix(A, data) @ y[36:].reshape(7, 7)
+        return np.concatenate([rhs(A, data).ravel(), dh.ravel()])
+
+    y0 = np.concatenate([trace.As[0].ravel(), np.eye(7).ravel()])
+    ref = solve_ivp(
+        fun, (0.0, trace.ts[-1]), y0, method="DOP853", rtol=rtol, atol=atol,
+        t_eval=trace.ts,
+    )
+    assert ref.status == 0
+    return ref.y[36:].T.reshape(-1, 7, 7)
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_reconstruct_h_matches_scipy_dop853(convention):
+    data = canonical_g2(convention)
+    opts = IntegratorOptions(t_end=100.0)
+    for seed in range(3):
+        trace = integrate(_start(seed, data), opts, data)
+        hs = reconstruct_h(trace, data)
+        ref = _joint_reference(trace, data)
+        scale = np.maximum(1.0, np.max(np.abs(ref), axis=(1, 2)))
+        err = np.max(np.abs(hs - ref), axis=(1, 2)) / scale
+        assert np.max(err) < 10 * opts.rel_tol, np.max(err)
+
+
+def test_pde_residuals_fall_a_hundredfold_per_decade():
+    """h is taken at step ends, so the residual is the central difference's
+    own O(dt^2) error on all three decades."""
+    fixture = load_example("nilpotent3")
+    data = canonical_g2(fixture["convention"])
+    res = coflow_pde_residuals(
+        fixture["A"], data, times=(0.5, 1.5), dts=(1e-2, 1e-3, 1e-4)
+    )
+    for big, small in ((1e-2, 1e-3), (1e-3, 1e-4)):
+        assert 95.0 <= res[big] / res[small] <= 105.0, res
+
+
+@pytest.mark.parametrize(
+    "times, dts",
+    [
+        ((math.inf,), (1e-2,)),
+        ((math.nan,), (1e-2,)),
+        ((0.5,), (math.nan,)),
+        ((0.5,), (0.0,)),
+        ((0.5,), (-1e-3,)),
+        ((0.5,), ()),
+        ((), (1e-2,)),
+        ((0.5, 1e-2), (1e-2, 1e-3)),
+    ],
+    ids=[
+        "inf-time", "nan-time", "nan-dt", "zero-dt", "negative-dt", "no-dts", "no-times",
+        "time-at-dt",
+    ],
+)
+def test_pde_residuals_reject_bad_grids(monkeypatch, times, dts):
+    fixture = load_example("nilpotent3")
+    data = canonical_g2(fixture["convention"])
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated a bad grid")
+
+    monkeypatch.setattr(coflow, "_dopri", no_integration)
+    with pytest.raises(ValueError):
+        coflow_pde_residuals(fixture["A"], data, times=times, dts=dts)
 
 
 def test_pde_residuals_second_order():
@@ -464,8 +585,8 @@ def test_event_root_equals_per_point_interpolation(monkeypatch):
 
 
 def test_workspaces_keep_nothing_between_runs(tmp_path):
-    """One integrate run twice in a process, with a joint reconstruct_h and
-    a soliton certificate between, writes the same trace and sidecar bytes,
+    """One integrate run twice in a process, with a reconstruct_h and a
+    soliton certificate between, writes the same trace and sidecar bytes,
     forward and backward."""
     A0 = _start(7, DATA)
     fixture = load_example("nilpotent3")
@@ -493,7 +614,6 @@ def test_stepper_makes_no_deprecated_numpy_call():
     fixture = load_example("nilpotent3")
     data_ex = canonical_g2(fixture["convention"])
     y0 = _start(5, DATA).ravel()
-    h0 = np.concatenate([fixture["A"].ravel(), np.eye(7).ravel()])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         coflow._dopri(coflow._flow_rhs(DATA), 0.0, y0, 5.0, 1e-9, 1e-12)
@@ -502,33 +622,13 @@ def test_stepper_makes_no_deprecated_numpy_call():
             event=lambda t, y: math.sqrt(y.dot(y)) - 50.0,
         )
         assert sol.status == 1
-        coflow._dopri(
-            coflow._joint_rhs(data_ex), 0.0, h0, 1.0, 1e-11, 1e-13,
-            t_eval=np.linspace(0.0, 1.0, 5),
+        orbit = integrate(
+            fixture["A"],
+            IntegratorOptions(t_end=1.0, rel_tol=1e-11, abs_tol=1e-13),
+            data_ex,
         )
-
-
-@pytest.mark.parametrize("backward", [False, True])
-def test_dopri_t_eval_matches_scipy_on_joint_rhs(backward):
-    fixture = load_example("nilpotent3")
-    data = canonical_g2(fixture["convention"])
-    fun = coflow._joint_rhs(data)
-    y0 = np.concatenate([fixture["A"].ravel(), np.eye(7).ravel()])
-    t_eval = np.concatenate([[0.0], np.sort(np.random.default_rng(1).uniform(0, 2, 15)), [2.0]])
-    if backward:
-        # the fixture's orbit (1 + 5t)^{-1/2} e^{sE} A e^{-sE} blows up at t = -1/5
-        t_eval = -0.075 * t_eval
-    ref = solve_ivp(
-        _allocating(fun), (0.0, t_eval[-1]), y0, method="RK45", rtol=1e-11, atol=1e-13,
-        t_eval=t_eval,
-    )
-    sol = coflow._dopri(fun, 0.0, y0, t_eval[-1], 1e-11, 1e-13, t_eval=t_eval)
-    assert sol.status == ref.status == 0
-    assert sol.nfev == ref.nfev
-    assert np.array_equal(sol.t, t_eval)
-    assert np.array_equal(sol.y[0], y0)
-    rel = np.max(np.abs(sol.y - ref.y.T) / np.maximum(1.0, np.abs(ref.y.T)))
-    assert rel < 1e-12
+        reconstruct_h(orbit, data_ex)
+        coflow_pde_residuals(fixture["A"], data_ex, times=(0.5,), dts=(1e-2,))
 
 
 def test_batched_diagnostics_match_per_sample():
