@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .g2 import G2Data, circ6
+from .g2 import G2Data, circ
 from .metric_lie import DIM, _as_bracket, _nabla_dense, koszul_connection
 
 __all__ = [
@@ -145,10 +145,10 @@ def t_circ_t(A: np.ndarray, data: G2Data) -> np.ndarray:
     blockdiag(-(1/2)(tr JA)[J,A] - S o6 S, -tr S^2)."""
     A = require_sp(A, data)
     J = data.J
-    S = 0.5 * (A + A.T)
+    S = _blockdiag(0.5 * (A + A.T), 0.0)
     comm = J @ A - A @ J
     return _blockdiag(
-        -0.5 * np.trace(J @ A) * comm - circ6(S, S, data),
+        -0.5 * np.trace(J @ A) * comm - circ(S, S, data)[:6, :6],
         -float(np.trace(S @ S)),
     )
 
@@ -214,17 +214,16 @@ def ricci_closed(A: np.ndarray, data: G2Data) -> tuple[np.ndarray, float]:
     return _blockdiag(0.5 * (A @ A.T - A.T @ A), -tr_ssq), -tr_ssq
 
 
-def _scalar_diagnostics_batch(
-    As: np.ndarray, data: G2Data
-) -> tuple[np.ndarray, np.ndarray]:
-    """R and |T|^2 of scalar_diagnostics for a stack of brackets (n, 6, 6),
-    with the same bookkeeping cross-check; no sp gate (the flow samples
-    are gated on their symplectic drift instead)."""
+def _scalar_diagnostics(As: np.ndarray, data: G2Data) -> dict[str, np.ndarray]:
+    """scalar_diagnostics for a stack of brackets (n, 6, 6), one array per
+    key, with the same bookkeeping check; no sp gate (the flow samples are
+    gated on their symplectic drift instead)."""
     J = data.J
     S = 0.5 * (As + np.swapaxes(As, 1, 2))
     comm = J @ As - As @ J
     tr_ja = np.einsum("ij,nji->n", J, As)
-    R = -np.einsum("nij,nij->n", S, S)
+    tr_ssq = np.einsum("nij,nij->n", S, S)
+    R = -tr_ssq
     # |T|^2 for T = blockdiag((1/2)[J,A], (1/2) tr JA)
     torsion_sq = 0.25 * (np.einsum("nij,nij->n", comm, comm) + tr_ja**2)
     gap = np.abs(R - (0.25 * tr_ja**2 - torsion_sq))
@@ -232,7 +231,13 @@ def _scalar_diagnostics_batch(
         raise AssertionError(
             f"scalar curvature bookkeeping drifted by {float(np.max(gap)):.3e}"
         )
-    return R, torsion_sq
+    return {
+        "R": R,
+        "torsionNormSq": torsion_sq,
+        "trJA": tr_ja,
+        "trSSq": tr_ssq,
+        "normSq": np.einsum("nij,nij->n", As, As),
+    }
 
 
 def scalar_diagnostics(A: np.ndarray, data: G2Data) -> dict[str, float]:
@@ -242,19 +247,4 @@ def scalar_diagnostics(A: np.ndarray, data: G2Data) -> dict[str, float]:
     assembly raises if the torsion bookkeeping ever drifts.
     """
     A = require_sp(A, data)
-    S = 0.5 * (A + A.T)
-    T = torsion_forms(A, data).T
-    tr_ja = float(np.trace(data.J @ A))
-    tr_ssq = float(np.trace(S @ S))
-    torsion_sq = float(np.sum(T * T))
-    R = -tr_ssq
-    gap = abs(R - (0.25 * tr_ja**2 - torsion_sq))
-    if gap > 1e-9 * max(1.0, abs(R)):
-        raise AssertionError(f"scalar curvature bookkeeping drifted by {gap:.3e}")
-    return {
-        "R": R,
-        "torsionNormSq": torsion_sq,
-        "trJA": tr_ja,
-        "trSSq": tr_ssq,
-        "normSq": float(np.sum(A * A)),
-    }
+    return {k: float(v[0]) for k, v in _scalar_diagnostics(A[None], data).items()}

@@ -21,8 +21,9 @@ Each subcommand takes only the flags it reads: verify and soliton take
 takes --seed (for its random trajectory starts). Any other of these is an
 argparse usage error (exit 2). Tolerances resolve as --tol, then the
 G2COFLOW_TOL environment variable, then per-suite defaults. All outputs
-are deterministic for a fixed config and seed; sweeps honor --jobs with
-per-sample seeding so the split does not change the numbers.
+are deterministic for a fixed config and seed; sweeps run on at most
+--jobs workers, no more than the samples and usable CPUs, with per-sample
+seeding so the split does not change the numbers.
 """
 
 from __future__ import annotations
@@ -166,15 +167,24 @@ def _sample(task: tuple) -> dict[str, float]:
     return sampler(canonical_g2(conv), np.random.default_rng((seed, i)))
 
 
+def _workers(jobs: int, count: int) -> int:
+    """Pool size of a sweep: at most --jobs, the samples and the CPUs this
+    process may run on (a fork-started pool starts every worker at once)."""
+    affinity = getattr(os, "sched_getaffinity", None)  # absent off Linux
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return min(jobs, count, cpus)
+
+
 def _run_sweep(
     sampler, conv: str, seed: int, count: int, jobs: int
 ) -> dict[str, float]:
     tasks = [(sampler, conv, seed, i) for i in range(count)]
-    if jobs > 1:
+    workers = _workers(jobs, count)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, count // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = max(1, count // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sample, tasks, chunksize=chunk))
     else:
         results = map(_sample, tasks)
@@ -423,6 +433,9 @@ def cmd_phase(args: argparse.Namespace) -> int:
         return 0
     except OSError as exc:
         print(f"could not write phase data: {exc}", file=sys.stderr)
+        return 2
+    except coflow.IntegrationError as exc:
+        print(exc, file=sys.stderr)
         return 2
 
 

@@ -44,13 +44,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .almost_abelian import (
+    _blockdiag,
     _laplacian_symbol,
-    _scalar_diagnostics_batch,
+    _scalar_diagnostics,
     _symbol_workspace,
     require_sp,
 )
 from .exterior import form_norm, pullback
-from .g2 import G2Data, circ6
+from .g2 import G2Data, circ
 from .metric_lie import DIM, hodge_laplacian
 
 __all__ = [
@@ -197,7 +198,8 @@ def _initial_step(fun, t0, y0, f0, t_bound, max_step, direction, rtol, atol):
     h0 = min(h0, interval)
     f1 = np.empty_like(y0)
     fun(t0 + h0 * direction, y0 + h0 * direction * f0, f1)
-    d2 = _rms((f1 - f0) / scale) / h0
+    # as in numpy: when |f0| overflows (h0 = 0), d2 = inf and the step is 0
+    d2 = _rms((f1 - f0) / scale) / h0 if h0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -390,12 +392,12 @@ def norm_derivative(A: np.ndarray, data: G2Data) -> float:
     """d/dt |A|^2 = -(|S|^2 + (1/2)(tr JA)^2)|A|^2 - |[A,A^t]|^2
     - <S o6 S, [A,A^t]>; always <= 0, zero exactly on su(3)."""
     A = require_sp(A, data)
-    S = 0.5 * (A + A.T)
+    S = _blockdiag(0.5 * (A + A.T), 0.0)
     comm = A @ A.T - A.T @ A
     return float(
         -(np.sum(S * S) + 0.5 * np.trace(data.J @ A) ** 2) * np.sum(A * A)
         - np.sum(comm * comm)
-        - np.sum(circ6(S, S, data) * comm)
+        - np.sum(circ(S, S, data)[:6, :6] * comm)
     )
 
 
@@ -445,8 +447,7 @@ def integrate(A0: np.ndarray, opts: IntegratorOptions, data: G2Data) -> FlowTrac
     diffs = np.diff(ts)
     steps = np.concatenate([[0.0], diffs])
 
-    norm_sq = np.einsum("nij,nij->n", ys, ys)
-    R, torsion_sq = _scalar_diagnostics_batch(ys, data)
+    diag = _scalar_diagnostics(ys, data)
 
     meta = {
         "options": asdict(opts),
@@ -466,9 +467,9 @@ def integrate(A0: np.ndarray, opts: IntegratorOptions, data: G2Data) -> FlowTrac
     return FlowTrace(
         ts=ts,
         As=ys,
-        norm_sq=norm_sq,
-        R=R,
-        torsion_sq=torsion_sq,
+        norm_sq=diag["normSq"],
+        R=diag["R"],
+        torsion_sq=diag["torsionNormSq"],
         steps=steps,
         meta=meta,
     )

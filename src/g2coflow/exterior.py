@@ -181,25 +181,6 @@ class KForm:
             if self.coeffs[pos] != 0.0:
                 yield idx, self.coeffs[pos]
 
-    def to_dict(self) -> dict:
-        """JSON-ready dict with 1-based increasing index tuples."""
-        return {
-            "n": self.n,
-            "k": self.k,
-            "terms": [
-                {"idx": [i + 1 for i in idx], "c": float(c)} for idx, c in self.terms()
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "KForm":
-        """Inverse of to_dict (terms may repeat or come unsorted)."""
-        terms = [
-            ([int(i) - 1 for i in term["idx"]], float(term["c"]))
-            for term in data.get("terms", [])
-        ]
-        return from_terms(int(data["n"]), int(data["k"]), terms)
-
 
 def zero_form(n: int, k: int) -> KForm:
     return KForm(n, k, np.zeros(math.comb(n, k)))
@@ -344,17 +325,32 @@ def pullback(h: np.ndarray, a: KForm) -> KForm:
     return from_dense(a.n, a.k, dense)
 
 
+def _theta_stack(Bs: np.ndarray, a: KForm) -> np.ndarray:
+    """theta(B_m) a for a stack of matrices Bs (m, n, n), as one dense
+    (m,) + (n,)*k array, m first.
+
+    Per slot, one product of a's dense array (that slot last, as in
+    _slot_dot) with the stack reshaped to n x (n m), columns (j, m),
+    accumulated into the m-first buffer so the stack stays C-contiguous.
+    """
+    n, k, m = a.n, a.k, len(Bs)
+    dense = a.dense()
+    G = Bs.transpose(1, 2, 0).reshape(n, n * m)
+    out = np.zeros((m,) + (n,) * k)
+    for slot in range(k):
+        to_last, back = _slot_axes(k, slot)
+        flat = dense.transpose(to_last).reshape(n ** (k - 1), n)
+        out -= np.dot(flat, G).reshape((n,) * k + (m,)).transpose((k,) + back)
+    return out
+
+
 def theta(B: np.ndarray, a: KForm) -> KForm:
     """Infinitesimal gl(n) action theta(B) a = -sum_s a(..., B cdot, ...).
 
     Equals d/dt at t=0 of pullback(expm(-tB), a); a degree-0 derivation of
-    the exterior algebra.
+    the exterior algebra. The one-matrix case of _theta_stack.
     """
     if a.k == 0:
         raise ValueError("theta acts on forms of degree >= 1")
     B = np.asarray(B, dtype=float).reshape(a.n, a.n)
-    dense = a.dense()
-    out = np.zeros_like(dense)
-    for slot in range(a.k):
-        out -= _slot_dot(dense, B, slot)
-    return from_dense(a.n, a.k, out)
+    return from_dense(a.n, a.k, _theta_stack(B[None], a)[0])

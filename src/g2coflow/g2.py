@@ -25,11 +25,11 @@ from .exterior import (
     basis_form,
     form_inner,
     form_norm,
-    from_dense,
     from_terms,
     hodge_star,
     interior,
     pullback,
+    theta,
     wedge,
 )
 from .metric_lie import (
@@ -50,7 +50,6 @@ __all__ = [
     "i_phi",
     "i_psi",
     "circ",
-    "circ6",
     "Decomposition4",
     "decompose_4form",
     "identity_suite",
@@ -107,13 +106,6 @@ class G2Data:
         return out if self.orientation == 1 else -out
 
     @cached_property
-    def _rho6(self) -> np.ndarray:
-        """rho+ restricted to the ideal, a contiguous read-only (6, 6, 6) array."""
-        r = np.ascontiguousarray(self.rho_plus.dense()[:6, :6, :6])
-        r.setflags(write=False)
-        return r
-
-    @cached_property
     def _symbol_quadratic(self) -> tuple[np.ndarray, np.ndarray]:
         """(P, M): the Laplacian symbol as a quadratic form on sp(R^6).
 
@@ -139,7 +131,7 @@ class G2Data:
         )
         # (1/2) S_a o6 S_b = (1/2) S_a,mn S_b,pq rho+_mpc rho+_nqd: contract
         # each factor with one rho+ and the pair over the shared (m, q)
-        r = self._rho6
+        r = np.ascontiguousarray(self.rho_plus.dense()[:6, :6, :6])
         U = np.einsum("amn,nqd->mqad", S, r).reshape(36, 21 * 6)
         T = np.einsum("bpq,mpc->mqbc", S, r).reshape(36, 21 * 6)
         circ = 0.5 * (T.T @ U).reshape(21, 6, 21, 6).transpose(2, 0, 1, 3)
@@ -252,57 +244,32 @@ def _symmetric(h: np.ndarray, name: str) -> np.ndarray:
 
 
 def i_phi(h: np.ndarray, data: G2Data) -> KForm:
-    """3-form i_phi(h)_{ijk} = h_i^m phi_{mjk} + h_j^m phi_{imk} + h_k^m phi_{ijm}."""
+    """3-form i_phi(h)_{ijk} = h_i^m phi_{mjk} + h_j^m phi_{imk} + h_k^m phi_{ijm},
+    which is -theta(h) phi for symmetric h."""
     h = _symmetric(np.asarray(h, dtype=float).reshape(DIM, DIM), "i_phi")
-    p = data.phi.dense()
-    dense = (
-        np.einsum("im,mjk->ijk", h, p)
-        + np.einsum("jm,imk->ijk", h, p)
-        + np.einsum("km,ijm->ijk", h, p)
-    )
-    return from_dense(DIM, 3, dense)
+    return -theta(h, data.phi)
 
 
 def i_psi(h: np.ndarray, data: G2Data) -> KForm:
-    """4-form analogue of i_phi, one slot insertion per argument."""
+    """4-form analogue of i_phi, one slot insertion per argument: -theta(h) psi."""
     h = _symmetric(np.asarray(h, dtype=float).reshape(DIM, DIM), "i_psi")
-    p = data.psi.dense()
-    dense = (
-        np.einsum("im,mjkl->ijkl", h, p)
-        + np.einsum("jm,imkl->ijkl", h, p)
-        + np.einsum("km,ijml->ijkl", h, p)
-        + np.einsum("lm,ijkm->ijkl", h, p)
-    )
-    return from_dense(DIM, 4, dense)
+    return -theta(h, data.psi)
 
 
 def circ(h: np.ndarray, k: np.ndarray, data: G2Data) -> np.ndarray:
     """(h o k)_{ab} = phi_{amn} phi_{bpq} h^{mp} k^{nq} on R^7.
 
-    Evaluated as three small matrix products, as circ6 is on the ideal:
+    Evaluated as three small matrix products:
     W_{amq} = phi_{amn} k_{nq} (phi reshaped to 49x7), Y_{apq} = h_{mp}
     W_{amq} (one batched product h^t W over a), and Y F^t with Y and
-    F = phi both reshaped to 7x49 (rows a and b, columns (p, q)).
+    F = phi both reshaped to 7x49 (rows a and b, columns (p, q)). phi is
+    rho+ on the ideal, so s o6 t is the 6x6 block of circ on padded s, t.
     """
     p = data.phi.dense()
     h = np.asarray(h, dtype=float).reshape(DIM, DIM)
     k = np.asarray(k, dtype=float).reshape(DIM, DIM)
     Y = h.T @ (p.reshape(DIM * DIM, DIM) @ k).reshape(DIM, DIM, DIM)
     return Y.reshape(DIM, DIM * DIM) @ p.reshape(DIM, DIM * DIM).T
-
-
-def circ6(s: np.ndarray, t: np.ndarray, data: G2Data) -> np.ndarray:
-    """Six-dimensional product (s o6 t)_{ab} = s_{mn} t_{pq} rho+_{mpa} rho+_{nqb}.
-
-    Evaluated as three small matrix products: W_{mqb} = s_{mn} rho+_{nqb},
-    V_{mpb} = t_{pq} W_{mqb} (one batched product over m), and
-    R^t V with R = rho+ reshaped to 36x6 (rows (m, p), column a).
-    """
-    r = data._rho6
-    s = np.asarray(s, dtype=float).reshape(6, 6)
-    t = np.asarray(t, dtype=float).reshape(6, 6)
-    V = t @ (s @ r.reshape(6, 36)).reshape(6, 6, 6)
-    return r.reshape(36, 6).T @ V.reshape(36, 6)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 from .exterior import (
     KForm,
     _flat_index,
-    _slot_axes,
+    _theta_stack,
     from_dense,
     hodge_star,
     interior,
@@ -172,18 +172,9 @@ def _nabla_dense(alpha: KForm, gamma: np.ndarray) -> np.ndarray:
 
     The constant-coefficient rule (nabla_m alpha)_{..j..} = -sum over slots
     of Gamma[m,j,p] alpha_{..p..}, i.e. theta(gamma[m]^t) alpha for every m
-    at once: per slot, one product of alpha (that slot last, as in
-    exterior._slot_dot) with Gamma reshaped to 7x49, columns (j, m).
+    at once.
     """
-    k = alpha.k
-    dense = alpha.dense()
-    G = gamma.transpose(2, 1, 0).reshape(DIM, DIM * DIM)
-    out = np.zeros((DIM,) * (k + 1))
-    for slot in range(k):
-        to_last, back = _slot_axes(k, slot)
-        flat = dense.transpose(to_last).reshape(DIM ** (k - 1), DIM)
-        out -= np.dot(flat, G).reshape((DIM,) * (k + 1)).transpose((k,) + back)
-    return out
+    return _theta_stack(gamma.transpose(0, 2, 1), alpha)
 
 
 def covariant_derivative_form(alpha: KForm, gamma: np.ndarray) -> list[KForm]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coflow import _dopri, _write_table, rhs
+from .coflow import IntegrationError, _dopri, _write_table, rhs
 from .g2 import G2Data
 
 __all__ = [
@@ -179,7 +179,8 @@ def integrate_trajectory(
     rel_tol: float = 1e-9,
     abs_tol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Planar trajectory sampled at the accepted steps."""
+    """Planar trajectory sampled at the accepted steps; IntegrationError when
+    the step size underflows."""
 
     def fun(t: float, v: np.ndarray, out: np.ndarray) -> None:
         out[0], out[1] = planar_rhs(v[0], v[1])
@@ -193,7 +194,7 @@ def integrate_trajectory(
         abs_tol,
     )
     if sol.status != 0:
-        raise RuntimeError(f"trajectory integration failed: {sol.message}")
+        raise IntegrationError(f"trajectory integration failed: {sol.message}")
     return sol.t, sol.y[:, 0], sol.y[:, 1]
 
 

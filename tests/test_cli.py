@@ -383,6 +383,81 @@ def test_skew_sample_reads_one_symbol_record(monkeypatch, convention):
         assert len(calls) == i + 1
 
 
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("direction", [[], ["--backward"]])
+def test_flow_from_huge_bracket_exits_two(convention, direction, tmp_path, capsys):
+    # at |A| = 1e100 the norm of the first derivative overflows; the run ends
+    # in the drift gate's exit 2, not in a traceback
+    A = random_sp(np.random.default_rng(5), canonical_g2(convention))
+    path = write_bracket(tmp_path / "huge.json", 1e100 * A / np.linalg.norm(A))
+    argv = ["flow", "--convention", convention, "--bracket", path, *direction]
+    with np.errstate(all="ignore"):
+        code, out, err = run_main([*argv, "--out", str(tmp_path / "t.csv")], capsys)
+    assert code == 2
+    assert "integration failed" in err and "PASS" not in out
+
+
+@pytest.mark.parametrize(
+    "point, expected", [("1e100,1e100", 0), ("1e200,3e200", 2)]
+)
+def test_phase_huge_trajectory_ends_with_an_exit_code(
+    point, expected, tmp_path, capsys
+):
+    out = tmp_path / "traj.csv"
+    with np.errstate(all="ignore"):
+        code, _, err = run_main(
+            ["phase", f"--trajectory={point}", "--out", str(out)], capsys
+        )
+    assert code == expected
+    if expected == 2:
+        assert "trajectory integration failed" in err
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "argv, cpus, expected",
+    [
+        (["verify", "--suite", "torsion", "--samples", "3", "--jobs", "1000"], 64, 3),
+        (["soliton", "check", "--skew-sweep", "3", "--jobs", "1000"], 64, 3),
+        (["verify", "--suite", "torsion", "--samples", "9", "--jobs", "1000"], 4, 4),
+        (["verify", "--suite", "torsion", "--samples", "9", "--jobs", "2"], 64, 2),
+        (["verify", "--suite", "torsion", "--samples", "1", "--jobs", "1000"], 64, None),
+        (["verify", "--suite", "torsion", "--samples", "9", "--jobs", "1000"], 1, None),
+    ],
+)
+def test_sweep_pool_is_bounded(argv, cpus, expected, monkeypatch, capsys):
+    import concurrent.futures
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(
+        cli.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+    )
+    assert main(argv) == 0
+    pooled = capsys.readouterr().out
+    # a pool of one runs serially, without an executor
+    assert _RecordingPool.sizes == ([] if expected is None else [expected])
+    assert main([*argv[:-1], "1"]) == 0
+    assert capsys.readouterr().out == pooled
+
+
 def test_phase_grid_csv(tmp_path):
     out = tmp_path / "phase.csv"
     code = main(["phase", "--res", "11", "--out", str(out)])

@@ -15,12 +15,13 @@ import g2coflow
 from g2coflow import coflow
 from g2coflow.almost_abelian import (
     _laplacian_symbol,
-    _scalar_diagnostics_batch,
+    _scalar_diagnostics,
     q_matrix,
     random_sp,
     random_su3,
     scalar_diagnostics,
     sp_check,
+    torsion_forms,
 )
 from g2coflow.coflow import (
     FlowTrace,
@@ -514,6 +515,21 @@ def test_dopri_ends_on_a_nan_step():
     assert sol.nfev == calls <= 10
 
 
+def test_initial_step_when_the_derivative_norm_overflows():
+    # |f0 / scale| squared overflows, so d1 = inf and h0 = 0; as with numpy's
+    # float division, d2 = inf and the first step is 0 (the stepper then
+    # starts from its ten-ulp floor) instead of a ZeroDivisionError
+    y0 = np.full(2, 1e150)
+    f0 = np.full(2, 1e300)
+
+    def fun(t, y, out):
+        out[:] = f0
+
+    with np.errstate(over="ignore"):
+        h = coflow._initial_step(fun, 0.0, y0, f0, 1.0, np.inf, 1.0, 1e-9, 1e-12)
+    assert h == 0.0
+
+
 def test_dopri_backward_ceiling_matches_scipy_event():
     fun = coflow._flow_rhs(DATA)
     y0 = _start(5, DATA).ravel()
@@ -633,21 +649,32 @@ def test_stepper_makes_no_deprecated_numpy_call():
 
 def test_batched_diagnostics_match_per_sample():
     trace = integrate(_start(21, DATA), IntegratorOptions(t_end=5.0), DATA)
-    R, torsion_sq = _scalar_diagnostics_batch(trace.As, DATA)
+    diag = _scalar_diagnostics(trace.As, DATA)
     for i, A in enumerate(trace.As):
-        diag = scalar_diagnostics(A, DATA)
-        assert abs(R[i] - diag["R"]) <= 1e-13 * max(1.0, abs(diag["R"]))
-        ref_t = diag["torsionNormSq"]
-        assert abs(torsion_sq[i] - ref_t) <= 1e-13 * max(1.0, abs(ref_t))
-    assert np.array_equal(trace.R, R)
-    assert np.array_equal(trace.torsion_sq, torsion_sq)
+        # references by matrix products: R = -tr S^2, |T|^2 from torsion_forms
+        S = 0.5 * (A + A.T)
+        T = torsion_forms(A, DATA).T
+        ref = {
+            "R": -np.trace(S @ S),
+            "torsionNormSq": np.sum(T * T),
+            "trJA": np.trace(DATA.J @ A),
+            "trSSq": np.trace(S @ S),
+            "normSq": np.sum(A * A),
+        }
+        one = scalar_diagnostics(A, DATA)
+        for key, value in ref.items():
+            assert abs(diag[key][i] - value) <= 1e-13 * max(1.0, abs(value))
+            assert abs(one[key] - value) <= 1e-13 * max(1.0, abs(value))
+    assert np.array_equal(trace.R, diag["R"])
+    assert np.array_equal(trace.torsion_sq, diag["torsionNormSq"])
+    assert np.array_equal(trace.norm_sq, diag["normSq"])
 
 
 def test_batched_diagnostics_gate_bookkeeping():
     # off sp(R^6) the torsion identity R = (1/4)(tr JA)^2 - |T|^2 fails
     A = rng.standard_normal((1, 6, 6))
     with pytest.raises(AssertionError):
-        _scalar_diagnostics_batch(A, DATA)
+        _scalar_diagnostics(A, DATA)
 
 
 def test_trace_csv_matches_per_element_writer(tmp_path):

@@ -13,7 +13,6 @@ from g2coflow.exterior import (
     form_inner,
     form_norm,
     from_dense,
-    from_terms,
     hodge_star,
     index_position,
     interior,
@@ -308,21 +307,6 @@ def test_interior_matches_tensordot_bytes(k):
     a, v = _form_with_signed_zeros(7, k), rng.standard_normal(7)
     direct = from_dense(7, k - 1, np.tensordot(v, a.dense(), axes=1))
     assert interior(v, a).coeffs.tobytes() == direct.coeffs.tobytes()
-
-
-def test_json_round_trip_one_based():
-    a = from_terms(7, 3, [((0, 1, 6), 2.5), ((2, 4, 5), -1.0)])
-    d = a.to_dict()
-    assert {"idx": [1, 2, 7], "c": 2.5} in d["terms"]
-    back = KForm.from_dict(d)
-    assert form_norm(back - a) == 0.0
-
-
-def test_from_dict_unsorted_indices():
-    a = KForm.from_dict({"n": 7, "k": 2, "terms": [{"idx": [3, 1], "c": 1.0}]})
-    assert a.coefficient((0, 2)) == -1.0
-    with pytest.raises(ValueError):
-        KForm.from_dict({"n": 7, "k": 2, "terms": [{"idx": [3, 3], "c": 1.0}]})
 
 
 def test_zero_form_and_scalar_ops():

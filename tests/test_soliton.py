@@ -16,7 +16,7 @@ from g2coflow.almost_abelian import (
     torsion_forms,
 )
 from g2coflow.coflow import IntegratorOptions, integrate
-from g2coflow.g2 import CONVENTIONS, canonical_g2, circ6, ricci_from_torsion
+from g2coflow.g2 import CONVENTIONS, canonical_g2, circ, ricci_from_torsion
 from g2coflow.metric_lie import (
     curl_tensor,
     derivation_residual,
@@ -287,7 +287,9 @@ def closed_form_soliton_terms(A, data):
     """Reference M = [A,A^t] + S o6 S, c and d from the paper's formulas."""
     S = 0.5 * (A + A.T)
     comm = A @ A.T - A.T @ A
-    ss = circ6(S, S, data)
+    S7 = np.zeros((7, 7))
+    S7[:6, :6] = S
+    ss = circ(S7, S7, data)[:6, :6]
     d = (np.sum(comm * comm) + np.sum(ss * comm)) / (2.0 * np.sum(A * A))
     q = -0.5 * np.trace(S @ S) - 0.25 * np.trace(data.J @ A) ** 2
     return comm + ss, q - d, d
