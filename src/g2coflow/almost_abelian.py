@@ -14,6 +14,7 @@ entry). Torsion normalization is nabla_m phi = (T e_m) -| psi.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,18 +158,20 @@ def _symbol_workspace(data: G2Data, n: int | None = None) -> tuple:
     """P^t and M^t of data._symbol_quadratic with buffers for z, z (x) z and
     w of _laplacian_symbol and the views it reads them through, for one
     bracket (n None) or a stack of n brackets; bound once for a caller
-    that evaluates the symbol many times (the flow right-hand side). z (x) z
-    is one BLAS outer product for a bracket (np.dot, at a lower per-call
-    cost) and one broadcast product for a stack (np.multiply, faster than
-    np.matmul's batched outer products)."""
+    that evaluates the symbol many times (the flow right-hand side). The
+    outer product z (x) z is bound to its buffers: one BLAS outer product
+    for a bracket (np.dot, at a lower per-call cost) and one einsum for a
+    stack (faster than a broadcast product or np.matmul's batched ones)."""
     P, M = data._symbol_quadratic
     stack = () if n is None else (n,)
     z, zz, w = (np.empty(stack + shape) for shape in ((21,), (21, 21), (37,)))
-    outer, q = (np.dot, None) if n is None else (np.multiply, w[:, 36:, None])
+    if n is None:
+        outer = functools.partial(np.dot, z[:, None], z[None], zz)
+    else:
+        outer = functools.partial(np.einsum, "ni,nj->nij", z, z, out=zz)
+    q = None if n is None else w[:, 36:, None]
     Qh = w[..., :36].reshape(stack + (6, 6))
-    zz_flat = zz.reshape(stack + (441,))
-    z_col, z_row = z[..., None], z[..., None, :]
-    return P.T, M.T, stack + (36,), outer, z, z_col, z_row, zz, zz_flat, w, Qh, q
+    return P.T, M.T, stack + (36,), outer, z, zz.reshape(stack + (441,)), w, Qh, q
 
 
 def _laplacian_symbol(
@@ -186,16 +189,16 @@ def _laplacian_symbol(
     its rows agree with single brackets to rounding. z, z (x) z and
     w = M (z (x) z) are written into work, a _symbol_workspace of data for
     A's shape (a fresh one when None); Qh and a stack's q are views of w,
-    valid until work is reused. Where the BLAS outer product gives +0.0 for
-    the broadcast product's -0.0, w is the same, since M's sums start at
-    +0.0.
+    valid until work is reused. Whatever the sign of a zero in z (x) z (the
+    BLAS outer product and einsum may give +0.0 for -0.0), w is the same,
+    since M's sums start at +0.0.
     """
     if work is None:
         work = _symbol_workspace(data, len(A) if A.ndim == 3 else None)
-    PT, MT, vec, outer, z, z_col, z_row, zz, zz_flat, w, Qh, q = work
+    PT, MT, vec, outer, z, zz_flat, w, Qh, q = work
     dot = np.dot
     dot(A.reshape(vec), PT, z)
-    outer(z_col, z_row, zz)
+    outer()
     dot(zz_flat, MT, w)
     return Qh, w.item(36) if q is None else q
 

@@ -411,8 +411,11 @@ def cmd_phase(args: argparse.Namespace) -> int:
             hs = planar.write_trajectory_csv(ts, xs, ys, out)
             if x0 != 0.0 and y0 != 0.0:
                 h = hs[(xs != 0) & (ys != 0)]
-                drift = float(np.max(np.abs(h - h[0]))) if len(h) else np.nan
-                print(f"log|H| drift: {drift:.3e}", file=sys.stderr)
+                if h[0] == -np.inf:  # y0 = x0: H(0) = 0, so judge max |H|
+                    name, drift = "H", np.exp(h)
+                else:
+                    name, drift = "log|H|", np.abs(h - h[0])
+                print(f"{name} drift: {np.max(drift):.3e}", file=sys.stderr)
             print(f"wrote {out}")
             return 0
 

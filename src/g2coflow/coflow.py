@@ -6,7 +6,7 @@ geometric solution is recovered from the endomorphism flow dh/dt = -Q_A h
 with h(0) = I: psi(t) = pullback(h(t), psi) solves d/dt psi = Delta psi,
 and A(t) = a(t)^{-1} k(t) A(0) k(t)^{-1} for h = blockdiag(k, a). h is
 formed on a trajectory's own accepted steps (_h_on_steps): the stages of
-all steps at once, on stacks, and one propagator product per step.
+all steps at once, on stacks, with h carried as its blocks k and a.
 
 Integration uses an in-house adaptive Dormand-Prince 5(4) pair, _dopri,
 whose step control follows scipy's RK45 exactly (same initial step,
@@ -226,6 +226,7 @@ def _dopri(
     atol: float,
     max_step: float = np.inf,
     event: Callable[[float, np.ndarray], float] | None = None,
+    stops: tuple[float, ...] = (),
 ) -> _Solution:
     """Adaptive Dormand-Prince 5(4) integration of dy/dt = f(t, y).
 
@@ -237,6 +238,8 @@ def _dopri(
     of t. Samples are the accepted steps; rejected steps are counted.
     event(t, y) is terminal: when it changes sign over a step, its root on
     the step's interpolant is located by bisection and becomes the last
+    sample. stops are times, sorted in the direction of integration, on
+    which a step must end: each is clamped as t_bound is, so each is a
     sample. The stepper checks nothing about the samples; callers gate them
     once it returns.
     """
@@ -266,6 +269,8 @@ def _dopri(
     g = event(t, y) if event is not None else 0.0
     status = 0
     rejections = 0
+    bounds = iter((*stops, t_bound))
+    bound = next(bounds)  # where the next step must end at the latest
     while direction * (t - t_bound) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = min(max(h_abs, min_step), max_step)
@@ -275,8 +280,8 @@ def _dopri(
                 status = -1
                 break
             t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
+            if direction * (t_new - bound) > 0:
+                t_new = bound
             h = t_new - t
             h_abs = abs(h)
             for K_before, a, c, K_s in stages:
@@ -311,6 +316,8 @@ def _dopri(
         t_old, y_old = t, y
         t, y = t_new, y_new
         abs_y, abs_new = abs_new, abs_y
+        if t == bound:
+            bound = next(bounds, t_bound)
         if event is not None:
             g_new = event(t, y)
             if (g <= 0 <= g_new) or (g >= 0 >= g_new):
@@ -364,18 +371,15 @@ def _bracket_rhs(
     F += np.multiply(A, q, tmp)
 
 
-def _flow_rhs(data: G2Data) -> Callable[[float, np.ndarray, np.ndarray], tuple]:
+def _flow_rhs(data: G2Data) -> Callable[[float, np.ndarray, np.ndarray], None]:
     """fun(t, y, out) of the bracket flow on y = vec(A), for _dopri; the
-    symbol workspace and scratch buffer are allocated once, here. fun
-    returns the symbol (Qh, q) it evaluated, Qh valid until its next call."""
+    symbol workspace and scratch buffer are allocated once, here."""
     work = _symbol_workspace(data)
     tmp = np.empty((6, 6))
 
-    def fun(t: float, y: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, float]:
+    def fun(t: float, y: np.ndarray, out: np.ndarray) -> None:
         A = y.reshape(6, 6)
-        Qh, q = _laplacian_symbol(A, data, work)
-        _bracket_rhs(A, Qh, q, out.reshape(6, 6), tmp)
-        return Qh, q
+        _bracket_rhs(A, *_laplacian_symbol(A, data, work), out.reshape(6, 6), tmp)
 
     return fun
 
@@ -404,10 +408,10 @@ def norm_derivative(A: np.ndarray, data: G2Data) -> float:
 def integrate(A0: np.ndarray, opts: IntegratorOptions, data: G2Data) -> FlowTrace:
     """Integrate the bracket flow from A0 over [0, t_end] (or backward).
 
-    Samples at accepted steps. Raises IntegrationError on symplectic drift
-    beyond opts.sp_drift_tol, naming the first such sample in integration
-    order, or on step underflow; backward runs terminate cleanly at the
-    norm ceiling.
+    Samples at accepted steps. Raises IntegrationError on a non-finite
+    sample or symplectic drift beyond opts.sp_drift_tol, naming the first
+    such sample in integration order, or on step underflow; backward runs
+    terminate cleanly at the norm ceiling.
     """
     A0 = require_sp(A0, data)
 
@@ -427,14 +431,16 @@ def integrate(A0: np.ndarray, opts: IntegratorOptions, data: G2Data) -> FlowTrac
     )
     # sp(R^6) is a linear subspace and the rhs is tangent to it, so the
     # samples stay symplectic to rounding; the gate catches anything else,
-    # the start and an event-located end sample included.
+    # the start and an event-located end sample included. A non-finite
+    # sample has a NaN or infinite drift: it fails the gate, named as such.
     drift = np.abs(sol.y @ data._sp_residual.T).max(axis=1)
-    i = int(np.argmax(drift > opts.sp_drift_tol))  # the first one over, if any
-    if drift[i] > opts.sp_drift_tol:
-        raise IntegrationError(
-            f"symplectic drift {drift[i]:.3e} exceeded {opts.sp_drift_tol:g} "
-            f"at t = {sol.t[i]:.6g}"
-        )
+    over = ~(drift <= opts.sp_drift_tol)
+    i = int(np.argmax(over))  # the first one over, if any
+    if over[i]:
+        cause = f"symplectic drift {drift[i]:.3e} exceeded {opts.sp_drift_tol:g}"
+        if not np.isfinite(sol.y[i]).all():
+            cause = "the state became non-finite (overflow)"
+        raise IntegrationError(f"{cause} at t = {sol.t[i]:.6g}")
     if sol.status == -1:
         raise IntegrationError(f"step-size underflow: {sol.message}")
     termination = "norm_ceiling" if sol.status == 1 else "t_end"
@@ -516,30 +522,31 @@ def _h_on_steps(ts: np.ndarray, As: np.ndarray, data: G2Data) -> np.ndarray:
 
     Each step is the Dormand-Prince 5 step of the joint flow of (A, h) from
     its start sample over its length, on which alone its stages depend, so
-    the six stages of every step are evaluated at once, on (n, 6, 6)
-    stacks. dh/dt is linear in h, so a step maps h to H h, with the
-    propagator H formed from its stages, and h is the running product of
-    the propagators. H = blockdiag(K, a), as Q is block diagonal.
+    the six stages of every step are evaluated at once, on stacks. With
+    Q = blockdiag(Qh, q), h = blockdiag(k, a) and dh/dt linear in h, a step
+    maps k to K k and a to alpha a, K and alpha formed from its stages, so k
+    is the running product of the K and a the cumulative product of alpha.
     """
-    dt = np.diff(ts)[:, None, None]
+    dt = np.diff(ts)
     n = len(dt)
+    dt3 = dt[:, None, None]
     work = _symbol_workspace(data, n)
-    dA = np.empty((6, n, 6, 6))  # each stage's dA/dt
-    dH = np.empty((6, n, DIM, DIM))  # and dH/dt = -Q H
-    Q = np.zeros((n, DIM, DIM))
-    tmp = np.empty((n, 6, 6))
-    eye = np.eye(DIM)
+    dA, dK = np.empty((2, 6, n * 36))  # each stage's dA/dt and dK/dt = -Qh K
+    dalpha = np.empty((6, n))  # and dalpha/dt = -q alpha
+    eye = np.eye(6)
     for s in range(6):
         a = _DP_A[s, :s]
-        arg = As[:-1] + dt * np.tensordot(a, dA[:s], 1)
-        Q[:, :6, :6], Q[:, 6:, 6:] = _laplacian_symbol(arg, data, work)
-        _bracket_rhs(arg, Q[:, :6, :6], Q[:, 6:, 6:], dA[s], tmp)
-        H = eye + dt * np.tensordot(a, dH[:s], 1)
-        np.negative(np.matmul(Q, H, dH[s]), dH[s])
-    hs = np.empty((n + 1, DIM, DIM))
-    hs[0] = eye
-    for i, H in enumerate(eye + dt * np.tensordot(_DP_B, dH, 1)):
-        np.dot(H, hs[i], hs[i + 1])
+        arg = As[:-1] + dt3 * (a @ dA[:s]).reshape(n, 6, 6)
+        Qh, q = _laplacian_symbol(arg, data, work)
+        _bracket_rhs(arg, Qh, q, dA[s].reshape(n, 6, 6), np.empty((n, 6, 6)))
+        dK[s] = -(Qh @ (eye + dt3 * (a @ dK[:s]).reshape(n, 6, 6))).ravel()
+        dalpha[s] = -(q[:, 0, 0] * (1.0 + dt * (a @ dalpha[:s])))
+    ks = np.tile(eye, (n + 1, 1, 1))
+    for i, K in enumerate(eye + dt3 * (_DP_B @ dK).reshape(n, 6, 6)):
+        np.dot(K, ks[i], ks[i + 1])
+    hs = np.zeros((n + 1, DIM, DIM))
+    hs[:, :6, :6] = ks
+    hs[:, 6, 6] = np.cumprod(np.r_[1.0, 1.0 + dt * (_DP_B @ dalpha)])
     return hs
 
 
@@ -592,8 +599,8 @@ def coflow_pde_residuals(
     matrix g(t) = h(t)^t h(t). Residuals should fall off as O(dt^2) until
     the integration tolerance floor. times and dts must be non-empty,
     finite and positive, and every time must exceed the largest dt. The
-    bracket flow is integrated in segments that each end on a needed time,
-    so every h is taken at the end of a step.
+    bracket flow is integrated in one run whose steps end on every needed
+    time (_dopri's stops), so every h is taken at the end of a step.
     """
     if not len(times) or not len(dts):
         raise ValueError("times and dts must be non-empty")
@@ -603,28 +610,21 @@ def coflow_pde_residuals(
         raise ValueError("every time must exceed the largest dt")
     A0 = require_sp(A0, data)
     needed = sorted({t + s * dt for t in times for dt in dts for s in (-1, 0, 1)})
-    flow = _flow_rhs(data)
-    ts, ys, ends = [0.0], [A0.ravel()], []
-    for t_end in needed:
-        sol = _dopri(flow, ts[-1], ys[-1], t_end, rel_tol, abs_tol)
-        if sol.status != 0:
-            raise IntegrationError(f"bracket flow integration failed: {sol.message}")
-        ts.extend(sol.t[1:])
-        ys.extend(sol.y[1:])
-        ends.append(len(ts) - 1)
-    hs = _h_on_steps(np.array(ts), np.array(ys).reshape(-1, 6, 6), data)
-    h_at = dict(zip(needed, hs[ends]))
+    sol = _dopri(
+        _flow_rhs(data), 0.0, A0.ravel(), needed[-1], rel_tol, abs_tol, stops=needed
+    )
+    if sol.status != 0:
+        raise IntegrationError(f"bracket flow integration failed: {sol.message}")
+    hs = _h_on_steps(sol.t, sol.y.reshape(-1, 6, 6), data)
+    h_at = dict(zip(needed, hs[np.searchsorted(sol.t, needed)]))
     psi_at = {t: pullback(h, data.psi) for t, h in h_at.items()}
     lap_at = {t: hodge_laplacian(psi_at[t], A0, g=h_at[t].T @ h_at[t]) for t in times}
 
-    out: dict[float, float] = {}
-    for dt in dts:
-        worst = 0.0
-        for t in times:
-            dpsi = (1.0 / (2.0 * dt)) * (psi_at[t + dt] - psi_at[t - dt])
-            worst = _worst(worst, form_norm(dpsi - lap_at[t]))
-        out[dt] = worst
-    return out
+    def residual(t: float, dt: float) -> float:
+        dpsi = (1.0 / (2.0 * dt)) * (psi_at[t + dt] - psi_at[t - dt])
+        return form_norm(dpsi - lap_at[t])
+
+    return {dt: _worst(0.0, *(residual(t, dt) for t in times)) for dt in dts}
 
 
 _CSV_COLUMNS = (

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from g2coflow import cli, soliton
+from g2coflow import cli, coflow, soliton
 from g2coflow.almost_abelian import random_sp, random_su3
 from g2coflow.cli import main
 from g2coflow.g2 import CONVENTIONS, canonical_g2
@@ -397,6 +397,28 @@ def test_flow_from_huge_bracket_exits_two(convention, direction, tmp_path, capsy
     assert "integration failed" in err and "PASS" not in out
 
 
+@pytest.mark.parametrize("direction", [[], ["--backward"]])
+def test_flow_names_a_non_finite_state(
+    direction, sp_bracket, tmp_path, monkeypatch, capsys
+):
+    # every sample from the fourth on is NaN, so its drift is NaN too; the
+    # run names the state, not a drift
+    dopri = coflow._dopri
+    runs = []
+
+    def overflowing(*args, **kwargs):
+        runs.append(dopri(*args, **kwargs))
+        runs[-1].y[3:] = np.nan
+        return runs[-1]
+
+    monkeypatch.setattr(coflow, "_dopri", overflowing)
+    argv = ["flow", "--bracket", sp_bracket, *direction]
+    code, out, err = run_main([*argv, "--out", str(tmp_path / "t.csv")], capsys)
+    assert code == 2 and "PASS" not in out
+    message = f"the state became non-finite (overflow) at t = {runs[0].t[3]:.6g}"
+    assert err == f"integration failed: {message}\n"
+
+
 @pytest.mark.parametrize(
     "point, expected", [("1e100,1e100", 0), ("1e200,3e200", 2)]
 )
@@ -485,6 +507,17 @@ def test_phase_trajectory(tmp_path, capsys):
     assert code == 0
     assert out.read_text().startswith("t,x,y,logAbsH")
     assert "drift" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point", ["1,1", "-0.5,-0.5"])
+def test_phase_trajectory_on_the_diagonal(point, tmp_path, capsys):
+    # H = 0 on y = x, so log|H| is -inf there; the drift is judged on H
+    argv = ["phase", f"--trajectory={point}", "--out", str(tmp_path / "traj.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # -inf - (-inf) would warn
+        code, _, err = run_main(argv, capsys)
+    assert code == 0
+    assert err == "H drift: 0.000e+00\n"
 
 
 @pytest.mark.parametrize("point", ["1,2,3", "1", "1,x", "nan,1", "1,inf"])

@@ -220,6 +220,27 @@ def test_backward_run_hits_norm_ceiling():
     assert scalar_bound_check(trace)["skipped"]
 
 
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_non_finite_sample_is_named(monkeypatch, direction):
+    """The drift of a NaN sample is NaN, which no `drift > tol` catches; the
+    gate reads it as over tolerance and names the state as non-finite."""
+    dopri = coflow._dopri
+    runs = []
+
+    def overflowing(*args, **kwargs):
+        runs.append(dopri(*args, **kwargs))
+        runs[-1].y[3:, 5] = np.nan
+        runs[-1].y[5:, 7] = np.inf
+        return runs[-1]
+
+    monkeypatch.setattr(coflow, "_dopri", overflowing)
+    opts = IntegratorOptions(t_end=1.0, direction=direction, norm_ceiling=50.0)
+    with pytest.raises(IntegrationError) as err:
+        integrate(_start(5, DATA), opts, DATA)
+    t = runs[0].t[3]
+    assert str(err.value) == f"the state became non-finite (overflow) at t = {t:.6g}"
+
+
 def test_drift_gate_raises():
     A0 = random_sp(np.random.default_rng(9), DATA)
     opts = IntegratorOptions(t_end=1.0, sp_drift_tol=1e-17)
@@ -343,6 +364,59 @@ def test_reconstruction_gap_matches_per_sample_loop():
     assert reconstruction_gap(backward, hs) == reconstruction_gap_loop(backward, hs)
 
 
+def h_on_steps_loop(ts, As, data):
+    """Reference: h on the accepted steps with h carried as a full 7x7
+    matrix, the stage propagators H = I + dt sum_j a_j dH_j with
+    dH/dt = -Q H, and h the running product of the 7x7 propagators."""
+    dt = np.diff(ts)[:, None, None]
+    n = len(dt)
+    work = coflow._symbol_workspace(data, n)
+    dA = np.empty((6, n, 6, 6))
+    dH = np.empty((6, n, 7, 7))
+    Q = np.zeros((n, 7, 7))
+    tmp = np.empty((n, 6, 6))
+    eye = np.eye(7)
+    for s in range(6):
+        a = coflow._DP_A[s, :s]
+        arg = As[:-1] + dt * np.tensordot(a, dA[:s], 1)
+        Q[:, :6, :6], Q[:, 6:, 6:] = _laplacian_symbol(arg, data, work)
+        coflow._bracket_rhs(arg, Q[:, :6, :6], Q[:, 6:, 6:], dA[s], tmp)
+        H = eye + dt * np.tensordot(a, dH[:s], 1)
+        np.negative(np.matmul(Q, H, dH[s]), dH[s])
+    hs = np.empty((n + 1, 7, 7))
+    hs[0] = eye
+    for i, H in enumerate(eye + dt * np.tensordot(coflow._DP_B, dH, 1)):
+        np.dot(H, hs[i], hs[i + 1])
+    return hs
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_block_h_matches_the_full_stage_loop(convention):
+    """The block form carries k and a apart; it equals the 7x7 loop to
+    rounding (BLAS sums the last entries of a vector in another order, so
+    bits can differ where the two layouts put an entry there), and its
+    off-block entries are exact zeros."""
+    data = canonical_g2(convention)
+    starts = [_start(seed, data) for seed in range(2)]
+    fixture = load_example("nilpotent3")
+    if fixture["convention"] == convention:
+        starts.append(fixture["A"])
+    for opts in (
+        IntegratorOptions(t_end=100.0),
+        IntegratorOptions(direction="backward", norm_ceiling=1e4),
+    ):
+        for A0 in starts:
+            trace = integrate(A0, opts, data)
+            ts, As = trace.ts, trace.As
+            if opts.direction == "backward":
+                ts, As = ts[::-1], As[::-1]
+            hs = coflow._h_on_steps(ts, As, data)
+            ref = h_on_steps_loop(ts, As, data)
+            scale = np.max(np.abs(ref), axis=(1, 2))
+            assert np.max(np.max(np.abs(hs - ref), axis=(1, 2)) / scale) < 1e-15
+            assert not np.any(hs[:, :6, 6]) and not np.any(hs[:, 6, :6])
+
+
 @pytest.mark.parametrize("convention", CONVENTIONS)
 def test_reconstruction_gap_on_backward_traces(convention):
     """A backward trace starts (h = I) at its last sample, t = 0."""
@@ -397,6 +471,38 @@ def test_pde_residuals_fall_a_hundredfold_per_decade():
     )
     for big, small in ((1e-2, 1e-3), (1e-3, 1e-4)):
         assert 95.0 <= res[big] / res[small] <= 105.0, res
+
+
+def test_pde_residuals_integrate_in_one_pass(monkeypatch):
+    """One run with stops on the needed times takes fewer right-hand sides
+    than the runs that each end on one of them, each restarting step
+    control."""
+    fixture = load_example("nilpotent3")
+    data = canonical_g2(fixture["convention"])
+    times, dts = (0.5, 1.5), (1e-2, 1e-3, 1e-4)
+    calls = []
+    flow_rhs = coflow._flow_rhs
+
+    def counting(data):
+        fun = flow_rhs(data)
+
+        def counted(t, y, out):
+            calls.append(t)
+            fun(t, y, out)
+
+        return counted
+
+    monkeypatch.setattr(coflow, "_flow_rhs", counting)
+    coflow_pde_residuals(fixture["A"], data, times=times, dts=dts)
+    one_pass = len(calls)
+    needed = sorted({t + s * dt for t in times for dt in dts for s in (-1, 0, 1)})
+    fun = coflow._flow_rhs(data)
+    calls.clear()
+    t, y = 0.0, fixture["A"].ravel()
+    for t_end in needed:
+        sol = coflow._dopri(fun, t, y, t_end, 1e-12, 1e-14)
+        t, y = sol.t[-1], sol.y[-1]
+    assert 0 < one_pass < len(calls)
 
 
 @pytest.mark.parametrize(
@@ -500,6 +606,23 @@ def test_dopri_reproduces_scipy_rk45_bit_for_bit(convention):
     assert np.array_equal(sol.y, ref.y.T)
 
 
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+def test_dopri_ends_steps_on_every_stop(direction):
+    """Each stop is a sample, exactly, in one pass: nfev = 2 + 6 (accepted
+    + rejected) counts one start and one initial-step probe."""
+    fun = coflow._flow_rhs(DATA)
+    y0 = _start(5, DATA, norm=1.0).ravel()  # from |A| = 4 it blows up by t = -0.045
+    stops = [direction * x for x in (1e-3, 1e-3 + 1e-4, 0.01, 0.03, 0.031, 0.05)]
+    t_bound = stops[-1]
+    sol = coflow._dopri(fun, 0.0, y0, t_bound, 1e-9, 1e-12, stops=stops)
+    assert sol.status == 0
+    assert sol.nfev == 2 + 6 * (len(sol.t) - 1 + sol.rejected)
+    assert np.all(direction * np.diff(sol.t) > 0)
+    assert set(stops) <= set(sol.t.tolist())
+    free = coflow._dopri(fun, 0.0, y0, t_bound, 1e-9, 1e-12)
+    assert not set(stops[:-1]) <= set(free.t.tolist())
+
+
 def test_dopri_ends_on_a_nan_step():
     calls = 0
 
@@ -562,7 +685,7 @@ def test_event_root_equals_per_point_interpolation(monkeypatch):
 
     def recording(t, y, out):
         stage["K"] = out.base  # out is a row of the stepper's stage matrix
-        return fun(t, y, out)
+        fun(t, y, out)
 
     roots = []
 
