@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -154,59 +155,57 @@ def t_circ_t(A: np.ndarray, data: G2Data) -> np.ndarray:
     )
 
 
-def _symbol_workspace(data: G2Data, n: int | None = None) -> tuple:
-    """P^t and M^t of data._symbol_quadratic with buffers for z, z (x) z and
-    w of _laplacian_symbol and the views it reads them through, for one
-    bracket (n None) or a stack of n brackets; bound once for a caller
-    that evaluates the symbol many times (the flow right-hand side). The
-    outer product z (x) z is bound to its buffers: one BLAS outer product
-    for a bracket (np.dot, at a lower per-call cost) and one einsum for a
-    stack (faster than a broadcast product or np.matmul's batched ones)."""
-    P, M = data._symbol_quadratic
-    stack = () if n is None else (n,)
-    z, zz, w = (np.empty(stack + shape) for shape in ((21,), (21, 21), (37,)))
-    if n is None:
-        outer = functools.partial(np.dot, z[:, None], z[None], zz)
-    else:
-        outer = functools.partial(np.einsum, "ni,nj->nij", z, z, out=zz)
-    q = None if n is None else w[:, 36:, None]
-    Qh = w[..., :36].reshape(stack + (6, 6))
-    return P.T, M.T, stack + (36,), outer, z, zz.reshape(stack + (441,)), w, Qh, q
-
-
-def _laplacian_symbol(
-    A: np.ndarray, data: G2Data, work: tuple | None = None
-) -> tuple[np.ndarray, float | np.ndarray]:
-    """(Qh, q) of q_matrix without the sp(R^6) gate: the flow right-hand
-    sides call this on every evaluation, with the bracket already checked
-    once at the start.
+def _symbol_evaluator(
+    data: G2Data, n: int | None = None
+) -> Callable[[np.ndarray], tuple[np.ndarray, float | np.ndarray]]:
+    """symbol(y) -> (Qh, q) of q_matrix without the sp(R^6) gate, for
+    y = vec(A) of one bracket (36 entries, n None) or of a stack of n
+    brackets (n x 36); the flow right-hand sides call it on every
+    evaluation, with the bracket already checked once at the start.
 
     Evaluated as the precomputed quadratic form data._symbol_quadratic on
     the coordinates z = P vec(A), i.e. on the orthogonal projection of A
-    onto sp(R^6); on sp(R^6) it equals the closed form to rounding. A is
-    one bracket, giving a float q, or a stack (n, 6, 6), giving Qh (n, 6, 6)
-    and q (n, 1, 1); BLAS may sum a stack's products in another order, so
-    its rows agree with single brackets to rounding. z, z (x) z and
-    w = M (z (x) z) are written into work, a _symbol_workspace of data for
-    A's shape (a fresh one when None); Qh and a stack's q are views of w,
-    valid until work is reused. Whatever the sign of a zero in z (x) z (the
-    BLAS outer product and einsum may give +0.0 for -0.0), w is the same,
-    since M's sums start at +0.0.
+    onto sp(R^6); on sp(R^6) it equals the closed form to rounding. One
+    bracket gives Qh (6, 6) and a float q, a stack Qh (n, 6, 6) and
+    q (n, 1, 1); BLAS may sum a stack's products in another order, so its
+    rows agree with single brackets to rounding.
+
+    Everything a call reads is bound here, once: P^t and M^t, the buffers
+    of z, z (x) z and w = M (z (x) z), and the products as ndarray.dot
+    methods of the buffers (y.dot(P^t, z), the outer product z_col.dot(z_row,
+    zz) and zz.dot(M^t, w)), which make np.dot's BLAS calls without its
+    per-call dispatch. ndarray.dot does not batch, so a stack's outer
+    product is one einsum (faster than a broadcast product or np.matmul's
+    batched ones). Qh and a stack's q are views of w, valid until the next
+    call. Whatever the sign of a zero in z (x) z (the BLAS outer product
+    and einsum may give +0.0 for -0.0), w is the same, since M's sums
+    start at +0.0.
     """
-    if work is None:
-        work = _symbol_workspace(data, len(A) if A.ndim == 3 else None)
-    PT, MT, vec, outer, z, zz_flat, w, Qh, q = work
-    dot = np.dot
-    dot(A.reshape(vec), PT, z)
-    outer()
-    dot(zz_flat, MT, w)
-    return Qh, w.item(36) if q is None else q
+    P, M = data._symbol_quadratic
+    PT, MT = P.T, M.T
+    stack = () if n is None else (n,)
+    z, zz, w = (np.empty(stack + shape) for shape in ((21,), (21, 21), (37,)))
+    if n is None:
+        outer = functools.partial(z[:, None].dot, z[None], zz)
+    else:
+        outer = functools.partial(np.einsum, "ni,nj->nij", z, z, out=zz)
+    to_w = zz.reshape(stack + (441,)).dot
+    Qh = w[..., :36].reshape(stack + (6, 6))
+    q = None if n is None else w[:, 36:, None]
+
+    def symbol(y: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+        y.dot(PT, z)
+        outer()
+        to_w(MT, w)
+        return Qh, w.item(36) if q is None else q
+
+    return symbol
 
 
 def q_matrix(A: np.ndarray, data: G2Data) -> np.ndarray:
     """Laplacian symbol Q_A = blockdiag(Qh, q), Delta psi = theta(Q_A) psi:
     Qh = (1/2)[A,A^t] + (1/2) S o6 S, q = -(1/2) tr S^2 - (1/4)(tr JA)^2."""
-    return _blockdiag(*_laplacian_symbol(require_sp(A, data), data))
+    return _blockdiag(*_symbol_evaluator(data)(require_sp(A, data).ravel()))
 
 
 def ricci_closed(A: np.ndarray, data: G2Data) -> tuple[np.ndarray, float]:

@@ -14,14 +14,15 @@ error norm and step factors, so the same accepted steps). Its right-hand
 sides follow one per-call protocol, fun(t, y, out): they write dy/dt into
 out, a row of the stepper's stage matrix, and the stepper ignores what
 they return. What a call reads is bound once, not looked up per call:
-each flow right-hand side binds the symbol's matrices and workspace
-(almost_abelian._symbol_workspace) and its scratch buffer when it is
-made; _dopri binds the stage matrix, the views of it that the steps read
-and the buffers of its stage arguments and error terms once per call. So
-a step allocates no array besides y_new, the new state that its sample
-keeps (the interpolant at an event adds its own). Every floating-point
-operation is the one an allocating evaluation would make, in the same
-order, so the steps are bit-identical to scipy's. No
+each flow right-hand side binds a symbol evaluator and a scratch buffer
+when it is made (almost_abelian._symbol_evaluator); _dopri binds the stage
+matrix, its stage, solution and error products as ndarray.dot methods of
+its views (K[:s].T.dot, K[:-1].T.dot, K.T.dot), which make np.dot's BLAS
+calls without its per-call dispatch, and the buffers of its stage
+arguments and error terms once per call. So a step allocates no array
+besides y_new, the state its sample keeps (an event's interpolant adds
+its own), and every floating-point operation is the one an allocating
+evaluation would make, in the same order: the steps are scipy's bits. No
 structure projection is performed: once the stepper returns, integrate
 checks the symplectic drift of every sample as an integrator health check
 and fails the run at the first one beyond the configured tolerance, so an
@@ -29,7 +30,7 @@ accuracy bug cannot hide behind a re-projection.
 
 The symbol (Q^h_A, q_A) is a quadratic form evaluated on the coordinates
 of the orthogonal projection of A onto sp(R^6) (see
-almost_abelian._laplacian_symbol). Only the symbol reads the projection:
+almost_abelian._symbol_evaluator). Only the symbol reads the projection:
 the state itself is never projected, and the drift gate still bounds its
 distance from sp(R^6) at every sample.
 """
@@ -45,9 +46,8 @@ import numpy as np
 
 from .almost_abelian import (
     _blockdiag,
-    _laplacian_symbol,
     _scalar_diagnostics,
-    _symbol_workspace,
+    _symbol_evaluator,
     require_sp,
 )
 from .exterior import form_norm, pullback
@@ -251,9 +251,9 @@ def _dopri(
     # the stage matrix and every view of it the steps read, bound once;
     # K[0] holds f(t, y) at the start of each step
     K = np.empty((7, y.size))
-    stages = [(K[:s].T, a, c, K[s]) for s, (a, c) in enumerate(_DP_STAGES, start=1)]
-    K_first, K_last, KT_head, KT = K[0], K[-1], K[:-1].T, K.T
-    dot, absolute, maximum = np.dot, np.abs, np.maximum
+    stages = [(K[:s].T.dot, a, c, K[s]) for s, (a, c) in enumerate(_DP_STAGES, 1)]
+    K_first, K_last, KT = K[0], K[-1], K.T
+    solution, error = K[:-1].T.dot, KT.dot  # the stage sums of y_new and err
     fun(t, y, K_first)
     nfev = 1
     if t == t_bound:
@@ -284,20 +284,20 @@ def _dopri(
                 t_new = bound
             h = t_new - t
             h_abs = abs(h)
-            for K_before, a, c, K_s in stages:
-                dot(K_before, a, arg)
+            for stage_sum, a, c, K_s in stages:
+                stage_sum(a, arg)
                 arg *= h
                 arg += y
                 fun(t + c * h, arg, K_s)
-            y_new = dot(KT_head, _DP_B)  # a fresh array: the samples keep it
+            y_new = solution(_DP_B)  # a fresh array: the samples keep it
             y_new *= h
             y_new += y
             fun(t_new, y_new, K_last)
             nfev += 6
-            maximum(abs_y, absolute(y_new, out=abs_new), out=scale)
+            np.maximum(abs_y, np.abs(y_new, out=abs_new), out=scale)
             scale *= rtol
             scale += atol
-            dot(KT, _DP_E, err)
+            error(_DP_E, err)
             err *= h
             err /= scale
             error_norm = math.sqrt(err.dot(err)) / root_size  # _rms(err), inline
@@ -363,23 +363,23 @@ def _bracket_rhs(
 ) -> None:
     """F = A Qh - Qh A + q A, written into F; tmp is a scratch buffer of F's
     shape. A, Qh and F are one 6x6 bracket, or (n, 6, 6) stacks with q of
-    shape (n, 1, 1). np.dot makes matmul's BLAS call at a lower per-call
-    cost but does not batch, so a stack goes through np.matmul."""
-    dot = np.dot if A.ndim == 2 else np.matmul
-    dot(A, Qh, F)
-    F -= dot(Qh, A, tmp)
+    shape (n, 1, 1). ndarray.dot makes matmul's BLAS call without np.dot's
+    dispatch or matmul's per-call cost, but does not batch: a stack goes
+    through np.matmul."""
+    product = np.ndarray.dot if A.ndim == 2 else np.matmul
+    product(A, Qh, F)
+    F -= product(Qh, A, tmp)
     F += np.multiply(A, q, tmp)
 
 
 def _flow_rhs(data: G2Data) -> Callable[[float, np.ndarray, np.ndarray], None]:
     """fun(t, y, out) of the bracket flow on y = vec(A), for _dopri; the
-    symbol workspace and scratch buffer are allocated once, here."""
-    work = _symbol_workspace(data)
+    symbol evaluator and scratch buffer are made once, here."""
+    symbol = _symbol_evaluator(data)
     tmp = np.empty((6, 6))
 
     def fun(t: float, y: np.ndarray, out: np.ndarray) -> None:
-        A = y.reshape(6, 6)
-        _bracket_rhs(A, *_laplacian_symbol(A, data, work), out.reshape(6, 6), tmp)
+        _bracket_rhs(y.reshape(6, 6), *symbol(y), out.reshape(6, 6), tmp)
 
     return fun
 
@@ -388,7 +388,7 @@ def rhs(A: np.ndarray, data: G2Data) -> np.ndarray:
     """dA/dt = q_A A - [Q^h_A, A]; tangent to sp(R^6)."""
     A = require_sp(A, data)
     F = np.empty((6, 6))
-    _bracket_rhs(A, *_laplacian_symbol(A, data), F, np.empty((6, 6)))
+    _bracket_rhs(A, *_symbol_evaluator(data)(A.ravel()), F, np.empty((6, 6)))
     return F
 
 
@@ -530,14 +530,14 @@ def _h_on_steps(ts: np.ndarray, As: np.ndarray, data: G2Data) -> np.ndarray:
     dt = np.diff(ts)
     n = len(dt)
     dt3 = dt[:, None, None]
-    work = _symbol_workspace(data, n)
+    symbol = _symbol_evaluator(data, n)
     dA, dK = np.empty((2, 6, n * 36))  # each stage's dA/dt and dK/dt = -Qh K
     dalpha = np.empty((6, n))  # and dalpha/dt = -q alpha
     eye = np.eye(6)
     for s in range(6):
         a = _DP_A[s, :s]
         arg = As[:-1] + dt3 * (a @ dA[:s]).reshape(n, 6, 6)
-        Qh, q = _laplacian_symbol(arg, data, work)
+        Qh, q = symbol(arg.reshape(n, 36))
         _bracket_rhs(arg, Qh, q, dA[s].reshape(n, 6, 6), np.empty((n, 6, 6)))
         dK[s] = -(Qh @ (eye + dt3 * (a @ dK[:s]).reshape(n, 6, 6))).ravel()
         dalpha[s] = -(q[:, 0, 0] * (1.0 + dt * (a @ dalpha[:s])))

@@ -19,12 +19,13 @@ leaves headroom over accumulation error without admitting near-misses.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .almost_abelian import _blockdiag, _laplacian_symbol, require_sp, torsion_forms
+from .almost_abelian import _blockdiag, _symbol_evaluator, require_sp, torsion_forms
 from .exterior import form_norm, theta
 from .g2 import G2Data, circ, ricci_from_torsion
 from .metric_lie import (
@@ -103,7 +104,7 @@ def _symbol_terms(
     norm_sq = float(np.sum(A * A))
     if norm_sq == 0.0:
         raise ValueError("soliton constants are undefined for the zero bracket")
-    Qh, q = _laplacian_symbol(A, data)
+    Qh, q = _symbol_evaluator(data)(A.ravel())
     d = float(np.sum(Qh * (A @ A.T - A.T @ A))) / norm_sq
     return A, Qh, q, q - d, d
 
@@ -268,6 +269,10 @@ def trace_identity_check(T: np.ndarray, X: VectorField, lam: float) -> float:
 
 
 def classify(c: float, tol: float = CERT_TOL) -> str:
+    """steady when |c| <= tol, otherwise the sign of c; undefined when c is
+    not finite (a NaN has no sign, and an overflowed c is no verdict)."""
+    if not math.isfinite(c):
+        return "undefined"
     if abs(c) <= tol:
         return "steady"
     return "expanding" if c < 0 else "shrinking"

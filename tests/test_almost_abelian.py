@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from g2coflow.almost_abelian import (
-    _laplacian_symbol,
-    _symbol_workspace,
+    _symbol_evaluator,
     q_matrix,
     random_sp,
     random_sp_skew,
@@ -155,7 +154,7 @@ def test_symbol_quadratic_form_matches_closed_form(convention, sampler):
     local = np.random.default_rng(20241019)
     for _ in range(10):
         A = 3.0 * sampler(local, data)
-        Qh, q = _laplacian_symbol(A, data)
+        Qh, q = _symbol_evaluator(data)(A.ravel())
         Qh_ref, q_ref = closed_form_symbol(A, data)
         scale = max(1.0, np.max(np.abs(Qh_ref)), abs(q_ref))
         assert np.max(np.abs(Qh - Qh_ref)) <= 1e-13 * scale
@@ -179,16 +178,16 @@ def _symbol_inputs(data, local):
 
 @pytest.mark.parametrize("convention", CONVENTIONS)
 def test_symbol_arithmetic_is_the_quadratic_form(convention):
-    """The workspace evaluation makes the floating-point operations of
-    M (z (x) z) for z = P vec(A): same bits, signed zeros included, with or
-    without a reused workspace."""
+    """The bound evaluation makes the floating-point operations of
+    M (z (x) z) for z = P vec(A): same bits, signed zeros included, from a
+    fresh evaluator or one reused across brackets."""
     data = canonical_g2(convention)
     P, M = data._symbol_quadratic
-    work = _symbol_workspace(data)
+    reused = _symbol_evaluator(data)
     for A in _symbol_inputs(data, np.random.default_rng(20261019)):
         z = P @ A.ravel()
         w = M @ np.multiply.outer(z, z).ravel()
-        for Qh, q in (_laplacian_symbol(A, data), _laplacian_symbol(A, data, work)):
+        for Qh, q in (_symbol_evaluator(data)(A.ravel()), reused(A.ravel())):
             assert Qh.tobytes() == w[:36].tobytes()
             assert np.float64(q).tobytes() == w[36:].tobytes()
             assert isinstance(q, float)
@@ -201,7 +200,7 @@ def test_symbol_reads_the_sp_projection(convention):
     A = random_sp(rng, data)
     off = rng.standard_normal((6, 6))
     off -= (P.T @ (P @ off.ravel())).reshape(6, 6)  # orthogonal to sp(R^6)
-    Qh, q = _laplacian_symbol(A + off, data)
+    Qh, q = _symbol_evaluator(data)((A + off).ravel())
     Qh_ref, q_ref = closed_form_symbol(A, data)
     assert np.max(np.abs(Qh - Qh_ref)) < 1e-13
     assert abs(q - q_ref) < 1e-13

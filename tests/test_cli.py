@@ -270,6 +270,21 @@ def test_soliton_non_finite_certificate_fails(tmp_path, capsys):
     assert [chk["name"] for chk in record["checks"]] == ["certificate/finite"]
 
 
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_soliton_nan_c_has_no_classification(convention, tmp_path, capsys):
+    # at |A| = 1e160 the symbol overflows and c is NaN: no sign, no verdict
+    A = random_sp(np.random.default_rng(5), canonical_g2(convention))
+    path = write_bracket(tmp_path / "huge.json", A * (1e160 / np.linalg.norm(A)))
+    argv = ["soliton", "check", "--convention", convention, "--bracket", path]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "kind=none classification=undefined c=nan" in out
+    assert "shrinking" not in out and "FAIL certificate/finite" in out
+
+
 def test_soliton_bracket_generic(sp_bracket, capsys):
     assert main(["soliton", "check", "--bracket", sp_bracket]) == 0
     assert "none" in capsys.readouterr().out

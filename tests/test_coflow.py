@@ -12,10 +12,10 @@ import pytest
 from scipy.integrate import RK45, solve_ivp
 
 import g2coflow
-from g2coflow import coflow
+from g2coflow import coflow, planar
 from g2coflow.almost_abelian import (
-    _laplacian_symbol,
     _scalar_diagnostics,
+    _symbol_evaluator,
     q_matrix,
     random_sp,
     random_su3,
@@ -81,7 +81,7 @@ def test_rhs_tangent_to_sp_and_norm_derivative():
 
 def _stacked(As, data):
     """The stacked symbol (Qh, q) and right-hand side of a (n, 6, 6) stack."""
-    Qh, q = _laplacian_symbol(As, data)
+    Qh, q = _symbol_evaluator(data, len(As))(As.reshape(-1, 36))
     F = np.empty_like(As)
     coflow._bracket_rhs(As, Qh, q, F, np.empty_like(As))
     return Qh, q, F
@@ -94,7 +94,7 @@ def test_stacked_symbol_and_rhs_match_per_bracket(convention):
     Qh, q, F = _stacked(As, data)
     assert Qh.shape == F.shape == As.shape and q.shape == (len(As), 1, 1)
     for i, A in enumerate(As):
-        Qh_i, q_i = _laplacian_symbol(A, data)
+        Qh_i, q_i = _symbol_evaluator(data)(A.ravel())
         w_i = np.append(Qh_i, q_i)
         w_stack = np.append(Qh[i], q[i])
         assert np.max(np.abs(w_stack - w_i)) <= 1e-15 * np.max(np.abs(w_i))
@@ -114,11 +114,63 @@ def test_write_into_rhs_equal_the_allocating_block_formula(convention):
     K = np.empty((3, 36))  # rows of a stage matrix, as _dopri passes them
     for _ in range(3):
         A = random_sp(rng, data)
-        Qh, q = _laplacian_symbol(A, data)
+        Qh, q = _symbol_evaluator(data)(A.ravel())
         dA = (A @ Qh - Qh @ A + q * A).ravel()
         flow(0.0, A.ravel(), K[2])
         assert np.array_equal(K[2], dA)
         assert np.array_equal(rhs(A, data).ravel(), dA)
+
+
+def _rhs_starts(data):
+    """Random |A| = 4 brackets; in the example convention also the
+    nilpotent3 fixture and the planar-axis start embed(1.5, 0)."""
+    starts = [_start(seed, data) for seed in range(3)]
+    if data.convention == "example":
+        starts += [load_example("nilpotent3")["A"], planar.embed(1.5, 0.0)]
+    return starts
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_bound_rhs_is_rhs_byte_for_byte(convention):
+    """The bound right-hand side writes rhs's bytes, and keeps neither y nor
+    out: y1, y2 and y1 again, as three arrays or through one reused buffer
+    (as the stepper's stage argument), into different rows, give the first
+    bytes again and leave the earlier rows be."""
+    data = canonical_g2(convention)
+    fun = coflow._flow_rhs(data)
+    K = np.empty((7, 36))
+    arg = np.empty(36)
+    starts = _rhs_starts(data)
+    for A in starts:
+        fun(0.0, A.ravel(), K[1])
+        assert K[1].tobytes() == rhs(A, data).tobytes()
+    for y1, y2 in zip(starts, starts[1:]):
+        for reuse in (False, True):
+            for row, A in zip((2, 3, 4), (y1, y2, y1)):
+                y = A.ravel().copy()
+                if reuse:
+                    arg[:] = y
+                fun(0.0, arg if reuse else y, K[row])
+            assert K[2].tobytes() == K[4].tobytes() == rhs(y1, data).tobytes()
+            assert K[3].tobytes() == rhs(y2, data).tobytes()
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_stack_symbol_is_the_dot_route_bit_for_bit(convention):
+    """A stack evaluation makes np.dot's products on the same operands: the
+    route of the unbound evaluation, z = vec(A) P^t, one einsum outer
+    product and w = (z (x) z) M^t, gives the same bits."""
+    data = canonical_g2(convention)
+    P, M = data._symbol_quadratic
+    opts = IntegratorOptions(t_end=10.0)
+    As = np.concatenate([integrate(A0, opts, data).As for A0 in _rhs_starts(data)])
+    n = len(As)
+    z = np.dot(As.reshape(n, 36), P.T)
+    w = np.dot(np.einsum("ni,nj->nij", z, z).reshape(n, 441), M.T)
+    Qh, q = _symbol_evaluator(data, n)(As.reshape(n, 36))
+    assert Qh.shape == (n, 6, 6) and q.shape == (n, 1, 1)
+    assert Qh.tobytes() == w[:, :36].tobytes()
+    assert q.tobytes() == w[:, 36:].tobytes()
 
 
 @pytest.mark.parametrize("convention", CONVENTIONS)
@@ -370,7 +422,7 @@ def h_on_steps_loop(ts, As, data):
     dH/dt = -Q H, and h the running product of the 7x7 propagators."""
     dt = np.diff(ts)[:, None, None]
     n = len(dt)
-    work = coflow._symbol_workspace(data, n)
+    symbol = _symbol_evaluator(data, n)
     dA = np.empty((6, n, 6, 6))
     dH = np.empty((6, n, 7, 7))
     Q = np.zeros((n, 7, 7))
@@ -379,7 +431,7 @@ def h_on_steps_loop(ts, As, data):
     for s in range(6):
         a = coflow._DP_A[s, :s]
         arg = As[:-1] + dt * np.tensordot(a, dA[:s], 1)
-        Q[:, :6, :6], Q[:, 6:, 6:] = _laplacian_symbol(arg, data, work)
+        Q[:, :6, :6], Q[:, 6:, 6:] = symbol(arg.reshape(n, 36))
         coflow._bracket_rhs(arg, Q[:, :6, :6], Q[:, 6:, 6:], dA[s], tmp)
         H = eye + dt * np.tensordot(a, dH[:s], 1)
         np.negative(np.matmul(Q, H, dH[s]), dH[s])
@@ -593,17 +645,22 @@ def test_tableau_is_scipy_rk45():
 
 @pytest.mark.parametrize("convention", CONVENTIONS)
 def test_dopri_reproduces_scipy_rk45_bit_for_bit(convention):
+    """At the flow's default tolerances and the orbit check's, forward and
+    backward (from |A| = 1: from |A| = 4 the flow blows up by t = -0.045;
+    to t = -0.01 in two steps, to t = -0.5 in tens of steps)."""
     data = canonical_g2(convention)
     fun = coflow._flow_rhs(data)
-    y0 = _start(3, data).ravel()
-    ref = solve_ivp(
-        _allocating(fun), (0.0, 100.0), y0, method="RK45", rtol=1e-9, atol=1e-12
-    )
-    sol = coflow._dopri(fun, 0.0, y0, 100.0, 1e-9, 1e-12)
-    assert sol.status == ref.status == 0
-    assert sol.nfev == ref.nfev
-    assert np.array_equal(sol.t, ref.t)
-    assert np.array_equal(sol.y, ref.y.T)
+    for t_bound, norm in ((100.0, 4.0), (-0.01, 1.0), (-0.5, 1.0)):
+        y0 = _start(3, data, norm).ravel()
+        for rtol, atol in ((1e-9, 1e-12), (1e-11, 1e-13)):
+            ref = solve_ivp(
+                _allocating(fun), (0.0, t_bound), y0, "RK45", rtol=rtol, atol=atol
+            )
+            sol = coflow._dopri(fun, 0.0, y0, t_bound, rtol, atol)
+            assert sol.status == ref.status == 0
+            assert sol.nfev == ref.nfev
+            assert np.array_equal(sol.t, ref.t)
+            assert np.array_equal(sol.y, ref.y.T)
 
 
 @pytest.mark.parametrize("direction", [1.0, -1.0])

@@ -121,15 +121,25 @@ def test_fixture_certify_report():
 
 
 def test_certify_evaluates_the_symbol_once(monkeypatch):
-    calls = {"_laplacian_symbol": 0, "derivation_residual": 0}
-    for name in calls:
-        inner = getattr(soliton, name)
+    calls = {"symbol": 0, "derivation_residual": 0}
+    derivation_residual = soliton.derivation_residual
+    symbol_evaluator = soliton._symbol_evaluator
 
-        def counted(*args, _inner=inner, _name=name):
-            calls[_name] += 1
-            return _inner(*args)
+    def counted_residual(*args):
+        calls["derivation_residual"] += 1
+        return derivation_residual(*args)
 
-        monkeypatch.setattr(soliton, name, counted)
+    def counted_evaluator(*args):
+        symbol = symbol_evaluator(*args)
+
+        def counted_symbol(y):
+            calls["symbol"] += 1
+            return symbol(y)
+
+        return counted_symbol
+
+    monkeypatch.setattr(soliton, "derivation_residual", counted_residual)
+    monkeypatch.setattr(soliton, "_symbol_evaluator", counted_evaluator)
     data = canonical_g2("section4")
     local = np.random.default_rng(20241022)
     cases = [
@@ -138,10 +148,10 @@ def test_certify_evaluates_the_symbol_once(monkeypatch):
         (A_FIX, DATA, "semi_algebraic", 0),
     ]
     for A, case_data, kind, derivation_calls in cases:
-        calls.update(_laplacian_symbol=0, derivation_residual=0)
+        calls.update(symbol=0, derivation_residual=0)
         assert certify(A, case_data).kind == kind
         assert calls == {
-            "_laplacian_symbol": 1,
+            "symbol": 1,
             "derivation_residual": derivation_calls,
         }
 
@@ -272,6 +282,12 @@ def test_classify_bands():
     assert classify(0.0) == "steady"
     assert classify(1e-12) == "steady"
     assert classify(0.5) == "shrinking"
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_classify_non_finite_c_is_undefined(c):
+    assert classify(c) == "undefined"
+    assert classify(c, 0.0) == "undefined"
 
 
 def test_symbol_decomposition_identity():
