@@ -170,16 +170,15 @@ def _symbol_evaluator(
     q (n, 1, 1); BLAS may sum a stack's products in another order, so its
     rows agree with single brackets to rounding.
 
-    Everything a call reads is bound here, once: P^t and M^t, the buffers
-    of z, z (x) z and w = M (z (x) z), and the products as ndarray.dot
-    methods of the buffers (y.dot(P^t, z), the outer product z_col.dot(z_row,
-    zz) and zz.dot(M^t, w)), which make np.dot's BLAS calls without its
-    per-call dispatch. ndarray.dot does not batch, so a stack's outer
-    product is one einsum (faster than a broadcast product or np.matmul's
-    batched ones). Qh and a stack's q are views of w, valid until the next
-    call. Whatever the sign of a zero in z (x) z (the BLAS outer product
-    and einsum may give +0.0 for -0.0), w is the same, since M's sums
-    start at +0.0.
+    What a call reads is bound here, once: P^t and M^t, the buffers of z,
+    z (x) z and w = M (z (x) z), and the products as ndarray.dot methods
+    (y.dot(P^t, z), the outer product z_col.dot(z_row, zz) and
+    zz.dot(M^t, w)), which make np.dot's BLAS calls without its per-call
+    dispatch. ndarray.dot does not batch, so a stack's outer product is one
+    einsum (faster than a broadcast product or np.matmul's batched ones).
+    Qh and a stack's q are views of w, valid until the next call. Whatever
+    the sign of a zero in z (x) z (the BLAS outer product and einsum may
+    give +0.0 for -0.0), w is the same, since M's sums start at +0.0.
     """
     P, M = data._symbol_quadratic
     PT, MT = P.T, M.T

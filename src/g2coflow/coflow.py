@@ -22,7 +22,8 @@ calls without its per-call dispatch, and the buffers of its stage
 arguments and error terms once per call. So a step allocates no array
 besides y_new, the state its sample keeps (an event's interpolant adds
 its own), and every floating-point operation is the one an allocating
-evaluation would make, in the same order: the steps are scipy's bits. No
+evaluation would make, in the same order, so the steps are bit-identical
+to scipy's. No
 structure projection is performed: once the stepper returns, integrate
 checks the symplectic drift of every sample as an integrator health check
 and fails the run at the first one beyond the configured tolerance, so an
