@@ -157,7 +157,7 @@ def t_circ_t(A: np.ndarray, data: G2Data) -> np.ndarray:
 
 def _symbol_evaluator(
     data: G2Data, n: int | None = None
-) -> Callable[[np.ndarray], tuple[np.ndarray, float | np.ndarray]]:
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """symbol(y) -> (Qh, q) of q_matrix without the sp(R^6) gate, for
     y = vec(A) of one bracket (36 entries, n None) or of a stack of n
     brackets (n x 36); the flow right-hand sides call it on every
@@ -166,7 +166,7 @@ def _symbol_evaluator(
     Evaluated as the precomputed quadratic form data._symbol_quadratic on
     the coordinates z = P vec(A), i.e. on the orthogonal projection of A
     onto sp(R^6); on sp(R^6) it equals the closed form to rounding. One
-    bracket gives Qh (6, 6) and a float q, a stack Qh (n, 6, 6) and
+    bracket gives Qh (6, 6) and a 0-d q, a stack Qh (n, 6, 6) and
     q (n, 1, 1); BLAS may sum a stack's products in another order, so its
     rows agree with single brackets to rounding.
 
@@ -176,7 +176,8 @@ def _symbol_evaluator(
     zz.dot(M^t, w)), which make np.dot's BLAS calls without its per-call
     dispatch. ndarray.dot does not batch, so a stack's outer product is one
     einsum (faster than a broadcast product or np.matmul's batched ones).
-    Qh and a stack's q are views of w, valid until the next call. Whatever
+    Qh and q (0-d: not converted per operation, as a float is) are the same
+    views of w from every call; a caller that keeps q takes float(q). Whatever
     the sign of a zero in z (x) z (the BLAS outer product and einsum may
     give +0.0 for -0.0), w is the same, since M's sums start at +0.0.
     """
@@ -190,13 +191,13 @@ def _symbol_evaluator(
         outer = functools.partial(np.einsum, "ni,nj->nij", z, z, out=zz)
     to_w = zz.reshape(stack + (441,)).dot
     Qh = w[..., :36].reshape(stack + (6, 6))
-    q = None if n is None else w[:, 36:, None]
+    q = w[..., 36] if n is None else w[:, 36:, None]
 
-    def symbol(y: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+    def symbol(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y.dot(PT, z)
         outer()
         to_w(MT, w)
-        return Qh, w.item(36) if q is None else q
+        return Qh, q
 
     return symbol
 

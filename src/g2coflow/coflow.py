@@ -14,20 +14,20 @@ error norm and step factors, so the same accepted steps). Its right-hand
 sides follow one per-call protocol, fun(t, y, out): they write dy/dt into
 out, a row of the stepper's stage matrix, and the stepper ignores what
 they return. What a call reads is bound once, not looked up per call:
-each flow right-hand side binds a symbol evaluator and a scratch buffer
-when it is made (almost_abelian._symbol_evaluator); _dopri binds the stage
-matrix, its stage, solution and error products as ndarray.dot methods of
-its views (K[:s].T.dot, K[:-1].T.dot, K.T.dot), which make np.dot's BLAS
-calls without its per-call dispatch, and the buffers of its stage
-arguments and error terms once per call. So a step allocates no array
-besides y_new, the state its sample keeps (an event's interpolant adds
-its own), and every floating-point operation is the one an allocating
-evaluation would make, in the same order, so the steps are bit-identical
-to scipy's. No
-structure projection is performed: once the stepper returns, integrate
-checks the symplectic drift of every sample as an integrator health check
-and fails the run at the first one beyond the configured tolerance, so an
-accuracy bug cannot hide behind a re-projection.
+the flow right-hand side (_flow_rhs, which rhs calls too) binds a symbol
+evaluator, the Qh and 0-d q each of its calls rewrites, Qh.dot and a
+scratch buffer; _dopri binds the stage matrix, its stage, solution and
+error products as ndarray.dot methods of its views (np.dot's BLAS calls
+without its dispatch), its buffers, and h, rtol and atol as 0-d arrays (h
+rewritten once per step), which numpy does not convert on every in-place
+operation as it does Python floats. So a step allocates no array besides
+y_new, the state its sample keeps, and every floating-point operation is
+the one an allocating evaluation would make, in the same order: without
+stops, the steps are bit-identical to scipy's. No structure projection is
+performed: once the stepper returns, integrate checks the symplectic drift
+of every sample as an integrator health check and fails the run at the
+first one beyond the configured tolerance, so an accuracy bug cannot hide
+behind a re-projection.
 
 The symbol (Q^h_A, q_A) is a quadratic form evaluated on the coordinates
 of the orthogonal projection of A onto sp(R^6) (see
@@ -240,8 +240,10 @@ def _dopri(
     event(t, y) is terminal: when it changes sign over a step, its root on
     the step's interpolant is located by bisection and becomes the last
     sample. stops are times, sorted in the direction of integration, on
-    which a step must end: each is clamped as t_bound is, so each is a
-    sample. The stepper checks nothing about the samples; callers gate them
+    which a step must end, so each is a sample: a step ends on a stop when
+    t + 1.01 h would pass it (Hairer's rule: no sliver step before it), on
+    t_bound when t + h would, as in scipy. h, rtol and atol enter as 0-d
+    arrays. The stepper checks nothing about the samples; callers gate them
     once it returns.
     """
     rtol = max(rtol, 100 * _EPS)
@@ -266,12 +268,13 @@ def _dopri(
     # error scale and error estimate
     arg, abs_y, abs_new, scale, err = np.empty((5, y.size))
     np.abs(y, out=abs_y)
+    h_0d, rtol_0d, atol_0d = np.empty(()), np.array(rtol), np.array(atol)
     ts, ys = [t], [y]
     g = event(t, y) if event is not None else 0.0
     status = 0
     rejections = 0
-    bounds = iter((*stops, t_bound))
-    bound = next(bounds)  # where the next step must end at the latest
+    bounds = iter([*((stop, 1.01) for stop in stops), (t_bound, 1.0)])
+    bound, stretch = next(bounds)  # where the next step must end at the latest
     while direction * (t - t_bound) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = min(max(h_abs, min_step), max_step)
@@ -281,25 +284,26 @@ def _dopri(
                 status = -1
                 break
             t_new = t + h_abs * direction
-            if direction * (t_new - bound) > 0:
+            if direction * (t + stretch * h_abs * direction - bound) > 0:
                 t_new = bound
             h = t_new - t
             h_abs = abs(h)
+            h_0d[()] = h
             for stage_sum, a, c, K_s in stages:
                 stage_sum(a, arg)
-                arg *= h
+                arg *= h_0d
                 arg += y
                 fun(t + c * h, arg, K_s)
             y_new = solution(_DP_B)  # a fresh array: the samples keep it
-            y_new *= h
+            y_new *= h_0d
             y_new += y
             fun(t_new, y_new, K_last)
             nfev += 6
             np.maximum(abs_y, np.abs(y_new, out=abs_new), out=scale)
-            scale *= rtol
-            scale += atol
+            scale *= rtol_0d
+            scale += atol_0d
             error(_DP_E, err)
-            err *= h
+            err *= h_0d
             err /= scale
             error_norm = math.sqrt(err.dot(err)) / root_size  # _rms(err), inline
             if error_norm < 1:
@@ -318,7 +322,7 @@ def _dopri(
         t, y = t_new, y_new
         abs_y, abs_new = abs_new, abs_y
         if t == bound:
-            bound = next(bounds, t_bound)
+            bound, stretch = next(bounds, (t_bound, 1.0))
         if event is not None:
             g_new = event(t, y)
             if (g <= 0 <= g_new) or (g >= 0 >= g_new):
@@ -360,37 +364,39 @@ def _worst(*values: float) -> float:
 
 
 def _bracket_rhs(
-    A: np.ndarray, Qh: np.ndarray, q, F: np.ndarray, tmp: np.ndarray
+    A: np.ndarray, Qh: np.ndarray, q: np.ndarray, F: np.ndarray, tmp: np.ndarray
 ) -> None:
-    """F = A Qh - Qh A + q A, written into F; tmp is a scratch buffer of F's
-    shape. A, Qh and F are one 6x6 bracket, or (n, 6, 6) stacks with q of
-    shape (n, 1, 1). ndarray.dot makes matmul's BLAS call without np.dot's
-    dispatch or matmul's per-call cost, but does not batch: a stack goes
-    through np.matmul."""
-    product = np.ndarray.dot if A.ndim == 2 else np.matmul
-    product(A, Qh, F)
-    F -= product(Qh, A, tmp)
+    """F = A Qh - Qh A + q A for (n, 6, 6) stacks A, Qh and F and q of shape
+    (n, 1, 1), written into F; tmp is a scratch buffer of F's shape."""
+    np.matmul(A, Qh, F)
+    F -= np.matmul(Qh, A, tmp)
     F += np.multiply(A, q, tmp)
 
 
 def _flow_rhs(data: G2Data) -> Callable[[float, np.ndarray, np.ndarray], None]:
-    """fun(t, y, out) of the bracket flow on y = vec(A), for _dopri; the
-    symbol evaluator and scratch buffer are made once, here."""
+    """fun(t, y, out) of the bracket flow on y = vec(A), for _dopri: writes
+    F = A Qh - Qh A + q A into out, with Qh and q bound once as the views
+    each call of the symbol evaluator rewrites."""
     symbol = _symbol_evaluator(data)
+    Qh, q = symbol(np.zeros(36))
+    Qh_dot, multiply = Qh.dot, np.multiply
     tmp = np.empty((6, 6))
 
     def fun(t: float, y: np.ndarray, out: np.ndarray) -> None:
-        _bracket_rhs(y.reshape(6, 6), *symbol(y), out.reshape(6, 6), tmp)
+        symbol(y)
+        A, F = y.reshape(6, 6), out.reshape(6, 6)
+        A.dot(Qh, F)
+        F -= Qh_dot(A, tmp)
+        F += multiply(A, q, tmp)
 
     return fun
 
 
 def rhs(A: np.ndarray, data: G2Data) -> np.ndarray:
     """dA/dt = q_A A - [Q^h_A, A]; tangent to sp(R^6)."""
-    A = require_sp(A, data)
-    F = np.empty((6, 6))
-    _bracket_rhs(A, *_symbol_evaluator(data)(A.ravel()), F, np.empty((6, 6)))
-    return F
+    F = np.empty(36)
+    _flow_rhs(data)(0.0, require_sp(A, data).ravel(), F)
+    return F.reshape(6, 6)
 
 
 def norm_derivative(A: np.ndarray, data: G2Data) -> float:
@@ -412,18 +418,24 @@ def integrate(A0: np.ndarray, opts: IntegratorOptions, data: G2Data) -> FlowTrac
     Samples at accepted steps. Raises IntegrationError on a non-finite
     sample or symplectic drift beyond opts.sp_drift_tol, naming the first
     such sample in integration order, or on step underflow; backward runs
-    terminate cleanly at the norm ceiling.
+    terminate cleanly at the norm ceiling and raise before a step from a
+    start at or above it.
     """
-    A0 = require_sp(A0, data)
+    y0 = require_sp(A0, data).ravel()
 
     def ceiling(t: float, y: np.ndarray) -> float:
         return math.sqrt(y.dot(y)) - opts.norm_ceiling
 
     backward = opts.direction == "backward"
+    if backward and not ceiling(0.0, y0) < 0:
+        raise IntegrationError(
+            f"the start's norm |A| = {math.sqrt(y0.dot(y0)):.6g} is at or above "
+            f"the norm ceiling {opts.norm_ceiling:g}"
+        )
     sol = _dopri(
         _flow_rhs(data),
         0.0,
-        A0.ravel(),
+        y0,
         -opts.t_end if backward else opts.t_end,
         opts.rel_tol,
         opts.abs_tol,

@@ -105,6 +105,7 @@ def _symbol_terms(
     if norm_sq == 0.0:
         raise ValueError("soliton constants are undefined for the zero bracket")
     Qh, q = _symbol_evaluator(data)(A.ravel())
+    q = float(q)
     d = float(np.sum(Qh * (A @ A.T - A.T @ A))) / norm_sq
     return A, Qh, q, q - d, d
 

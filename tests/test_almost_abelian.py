@@ -159,7 +159,12 @@ def test_symbol_quadratic_form_matches_closed_form(convention, sampler):
         scale = max(1.0, np.max(np.abs(Qh_ref)), abs(q_ref))
         assert np.max(np.abs(Qh - Qh_ref)) <= 1e-13 * scale
         assert abs(q - q_ref) <= 1e-13 * scale
-        assert isinstance(q, float)
+        assert _is_0d_view_of_w(q, Qh)
+
+
+def _is_0d_view_of_w(q, Qh):
+    """q is a 0-d array on the buffer that Qh views too (the evaluator's w)."""
+    return isinstance(q, np.ndarray) and q.shape == () and q.base is Qh.base
 
 
 def _symbol_inputs(data, local):
@@ -180,17 +185,20 @@ def _symbol_inputs(data, local):
 def test_symbol_arithmetic_is_the_quadratic_form(convention):
     """The bound evaluation makes the floating-point operations of
     M (z (x) z) for z = P vec(A): same bits, signed zeros included, from a
-    fresh evaluator or one reused across brackets."""
+    fresh evaluator or one reused across brackets, which rewrites the same
+    Qh and q on every call."""
     data = canonical_g2(convention)
     P, M = data._symbol_quadratic
     reused = _symbol_evaluator(data)
+    views = reused(np.zeros(36))
     for A in _symbol_inputs(data, np.random.default_rng(20261019)):
         z = P @ A.ravel()
         w = M @ np.multiply.outer(z, z).ravel()
         for Qh, q in (_symbol_evaluator(data)(A.ravel()), reused(A.ravel())):
             assert Qh.tobytes() == w[:36].tobytes()
-            assert np.float64(q).tobytes() == w[36:].tobytes()
-            assert isinstance(q, float)
+            assert q.tobytes() == w[36:].tobytes()
+            assert _is_0d_view_of_w(q, Qh)
+        assert Qh is views[0] and q is views[1]
 
 
 @pytest.mark.parametrize("convention", CONVENTIONS)

@@ -219,6 +219,30 @@ def test_flow_backward_ceiling(sp_bracket, tmp_path):
     assert meta["termination"] == "norm_ceiling"
 
 
+@pytest.mark.parametrize("at", [False, True], ids=["above", "at"])
+def test_flow_backward_from_the_ceiling_exits_two(at, tmp_path, monkeypatch, capsys):
+    """A backward start above the norm ceiling (|A| = 4, ceiling 1) or on it
+    exits 2 before the stepper runs, naming both norms."""
+    A = random_sp(np.random.default_rng(5), canonical_g2("section4"))
+    path = write_bracket(tmp_path / "bracket.json", 4.0 * A / np.linalg.norm(A))
+    y0 = np.array(json.loads(Path(path).read_text())["A"]).ravel()
+    norm = math.sqrt(y0.dot(y0))
+    ceiling = norm if at else 1.0
+
+    def stepper(*args, **kwargs):
+        raise AssertionError("the stepper ran")
+
+    monkeypatch.setattr(coflow, "_dopri", stepper)
+    argv = ["flow", "--bracket", path, "--backward", "--norm-ceiling", repr(ceiling)]
+    code, out, err = run_main([*argv, "--out", str(tmp_path / "t.csv")], capsys)
+    assert code == 2 and out == ""
+    assert err == (
+        f"integration failed: the start's norm |A| = {norm:.6g} is at or above "
+        f"the norm ceiling {ceiling:g}\n"
+    )
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_soliton_example(capsys, tmp_path):
     report_path = tmp_path / "soliton.json"
     code = main(
@@ -401,8 +425,9 @@ def test_skew_sample_reads_one_symbol_record(monkeypatch, convention):
 @pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("direction", [[], ["--backward"]])
 def test_flow_from_huge_bracket_exits_two(convention, direction, tmp_path, capsys):
-    # at |A| = 1e100 the norm of the first derivative overflows; the run ends
-    # in the drift gate's exit 2, not in a traceback
+    # at |A| = 1e100 the norm of the first derivative overflows; a forward
+    # run ends in the drift gate's exit 2, not in a traceback, and a backward
+    # one exits 2 at the start, above the default norm ceiling
     A = random_sp(np.random.default_rng(5), canonical_g2(convention))
     path = write_bracket(tmp_path / "huge.json", 1e100 * A / np.linalg.norm(A))
     argv = ["flow", "--convention", convention, "--bracket", path, *direction]

@@ -39,6 +39,7 @@ from g2coflow.coflow import (
 )
 from g2coflow.g2 import CONVENTIONS, canonical_g2
 from g2coflow.soliton import certify, load_example
+from test_almost_abelian import _symbol_inputs
 
 rng = np.random.default_rng(20240820)
 DATA = canonical_g2("section4")
@@ -109,16 +110,19 @@ def test_stacked_symbol_and_rhs_match_per_bracket(convention):
 
 @pytest.mark.parametrize("convention", CONVENTIONS)
 def test_write_into_rhs_equal_the_allocating_block_formula(convention):
+    """On the symbol's test inputs (signed zeros, planar-axis starts and the
+    fixture among them), the bound right-hand side and rhs (on the inputs in
+    sp(R^6)) write A Qh - Qh A + q A as allocating products give it."""
     data = canonical_g2(convention)
     flow = coflow._flow_rhs(data)
     K = np.empty((3, 36))  # rows of a stage matrix, as _dopri passes them
-    for _ in range(3):
-        A = random_sp(rng, data)
+    for A in _symbol_inputs(data, np.random.default_rng(20261021)):
         Qh, q = _symbol_evaluator(data)(A.ravel())
         dA = (A @ Qh - Qh @ A + q * A).ravel()
         flow(0.0, A.ravel(), K[2])
         assert np.array_equal(K[2], dA)
-        assert np.array_equal(rhs(A, data).ravel(), dA)
+        if sp_check(A, data)[0]:
+            assert np.array_equal(rhs(A, data).ravel(), dA)
 
 
 def _rhs_starts(data):
@@ -132,10 +136,12 @@ def _rhs_starts(data):
 
 @pytest.mark.parametrize("convention", CONVENTIONS)
 def test_bound_rhs_is_rhs_byte_for_byte(convention):
-    """The bound right-hand side writes rhs's bytes, and keeps neither y nor
-    out: y1, y2 and y1 again, as three arrays or through one reused buffer
-    (as the stepper's stage argument), into different rows, give the first
-    bytes again and leave the earlier rows be."""
+    """The bound right-hand side writes rhs's bytes, which are those of
+    A Qh - Qh A + q A from allocating ndarray.dot products on a fresh
+    symbol, and keeps neither y nor out: y1, y2 and y1 again, as three
+    arrays or through one reused buffer (as the stepper's stage argument),
+    into different rows, give the first bytes again and leave the earlier
+    rows be."""
     data = canonical_g2(convention)
     fun = coflow._flow_rhs(data)
     K = np.empty((7, 36))
@@ -143,6 +149,8 @@ def test_bound_rhs_is_rhs_byte_for_byte(convention):
     starts = _rhs_starts(data)
     for A in starts:
         fun(0.0, A.ravel(), K[1])
+        Qh, q = _symbol_evaluator(data)(A.ravel())
+        assert K[1].tobytes() == (A.dot(Qh) - Qh.dot(A) + q * A).tobytes()
         assert K[1].tobytes() == rhs(A, data).tobytes()
     for y1, y2 in zip(starts, starts[1:]):
         for reuse in (False, True):
@@ -555,6 +563,27 @@ def test_pde_residuals_integrate_in_one_pass(monkeypatch):
         sol = coflow._dopri(fun, t, y, t_end, 1e-12, 1e-14)
         t, y = sol.t[-1], sol.y[-1]
     assert 0 < one_pass < len(calls)
+
+
+def test_pde_run_takes_no_sliver_step(monkeypatch):
+    """A step that t + 1.01 h would carry past a stop ends on the stop
+    (Hairer's rule), so the fixture's run takes no step shorter than min(dts)
+    up to the rounding of the stop times; its last free step used to leave
+    a 1.1e-15 step to the stop at 1.51."""
+    fixture = load_example("nilpotent3")
+    data = canonical_g2(fixture["convention"])
+    dts = (1e-2, 1e-3, 1e-4)
+    runs = []
+    dopri = coflow._dopri
+
+    def recorded(*args, **kwargs):
+        runs.append(dopri(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(coflow, "_dopri", recorded)
+    coflow_pde_residuals(fixture["A"], data, times=(0.5, 1.5), dts=dts)
+    assert len(runs) == 1
+    assert np.diff(runs[0].t).min() >= min(dts) * (1 - 1e-9)
 
 
 @pytest.mark.parametrize(
