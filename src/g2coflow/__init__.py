@@ -7,7 +7,7 @@ coflow (bracket flow integration), soliton (self-similar solutions), planar
 (the two-parameter phase portrait), cli (command line entry points).
 """
 
-from .exterior import KForm, basis_form, from_dense, from_terms, zero_form
+from .exterior import KForm, basis_form, from_dense, from_terms
 from .g2 import G2Data, canonical_g2
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "basis_form",
     "from_dense",
     "from_terms",
-    "zero_form",
     "G2Data",
     "canonical_g2",
 ]

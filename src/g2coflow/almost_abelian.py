@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .g2 import G2Data, circ
-from .metric_lie import DIM, _as_bracket, _nabla_dense, koszul_connection
+from .metric_lie import DIM, _as_bracket, covariant_derivative_form, koszul_connection
 
 __all__ = [
     "sp_check",
@@ -56,9 +56,9 @@ def sp_check(A: np.ndarray, data: G2Data, tol: float = 1e-10) -> tuple[bool, flo
     return residual <= tol * scale, residual
 
 
-def require_sp(A: np.ndarray, data: G2Data, tol: float = 1e-10) -> np.ndarray:
+def require_sp(A: np.ndarray, data: G2Data) -> np.ndarray:
     A = _as_bracket(A)
-    ok, residual = sp_check(A, data, tol)
+    ok, residual = sp_check(A, data)
     if not ok:
         raise ValueError(f"matrix is not symplectic: |AJ + JA^t| = {residual:.3e}")
     return A
@@ -136,7 +136,7 @@ def torsion_from_nabla_phi(
     lies in the psi-image, i.e. when the convention matches.
     """
     A = require_sp(A, data)
-    N = _nabla_dense(data.phi, koszul_connection(A)).reshape(DIM, DIM**3)
+    N = covariant_derivative_form(data.phi, koszul_connection(A)).reshape(DIM, DIM**3)
     psi = data.psi.dense().reshape(DIM, DIM**3)
     T = N @ psi.T / 24.0
     return T, float(np.max(np.abs(T @ psi - N)))
@@ -216,10 +216,13 @@ def ricci_closed(A: np.ndarray, data: G2Data) -> tuple[np.ndarray, float]:
     return _blockdiag(0.5 * (A @ A.T - A.T @ A), -tr_ssq), -tr_ssq
 
 
-def _scalar_diagnostics(As: np.ndarray, data: G2Data) -> dict[str, np.ndarray]:
-    """scalar_diagnostics for a stack of brackets (n, 6, 6), one array per
-    key, with the same bookkeeping check; no sp gate (the flow samples are
-    gated on their symplectic drift instead)."""
+def scalar_diagnostics(As: np.ndarray, data: G2Data) -> dict[str, np.ndarray]:
+    """Scalar invariants on a stack of brackets (n, 6, 6), one array per key.
+
+    R = -tr S^2 must equal (tr T)^2 - |T|^2 = (1/4)(tr JA)^2 - |T|^2; the
+    assembly raises if the torsion bookkeeping ever drifts. No sp gate (the
+    flow gates its samples on symplectic drift); one bracket is A[None].
+    """
     J = data.J
     S = 0.5 * (As + np.swapaxes(As, 1, 2))
     comm = J @ As - As @ J
@@ -241,12 +244,3 @@ def _scalar_diagnostics(As: np.ndarray, data: G2Data) -> dict[str, np.ndarray]:
         "normSq": np.einsum("nij,nij->n", As, As),
     }
 
-
-def scalar_diagnostics(A: np.ndarray, data: G2Data) -> dict[str, float]:
-    """Scalar invariants of the structure at A, cross-checked internally.
-
-    R = -tr S^2 must equal (tr T)^2 - |T|^2 = (1/4)(tr JA)^2 - |T|^2; the
-    assembly raises if the torsion bookkeeping ever drifts.
-    """
-    A = require_sp(A, data)
-    return {k: float(v[0]) for k, v in _scalar_diagnostics(A[None], data).items()}

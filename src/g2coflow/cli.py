@@ -7,12 +7,12 @@ Exit codes: 0 success, 1 failed identity or assertion (the offending
 residual is named on stdout; a NaN or infinite residual always fails, and
 so does a certificate whose c, d or residuals are not finite),
 2 unreadable or out-of-range input (a missing, malformed or non-finite
-bracket file, a zero bracket to certify, an unknown --example fixture, a
---trajectory that is not two numbers, a count that is not a positive
-integer, a --seed or --trajectories that is not a non-negative integer,
-a tolerance (G2COFLOW_TOL included) or horizon that is not a positive
-finite number, a phase grid below two points or with non-finite or empty
-bounds, in every phase mode),
+bracket file, a zero bracket, or one whose |A|^2 underflows, to certify,
+an unknown --example fixture, a --trajectory that is not two numbers, a
+count that is not a positive integer, a --seed or --trajectories that is
+not a non-negative integer, a tolerance (G2COFLOW_TOL included) or
+horizon that is not a positive finite number, a phase grid below two
+points or with non-finite or empty bounds, in every phase mode),
 integrator or output-write failure (a --report, --out or trajectory file
 that cannot be written), 3 non-symplectic bracket input.
 
@@ -137,8 +137,8 @@ def _sample_lie(data: G2Data, rng: np.random.Generator) -> dict[str, float]:
 def _sample_skew(data: G2Data, rng: np.random.Generator) -> dict[str, float]:
     # a skew bracket has c = -(1/4)(tr JA)^2 = -|T|^2, so it is steady exactly
     # when torsion-free: c from the one symbol record, T from torsion_forms
-    A, _, _, c, _ = terms = soliton._symbol_terms(random_sp_skew(rng, data), data)
-    residual = soliton._algebraic(terms, soliton.CERT_TOL)[0]
+    A, _, _, c, _ = sym = soliton.symbol_terms(random_sp_skew(rng, data), data)
+    residual = soliton.algebraic_check(sym)[0]
     T = torsion_forms(A, data).T
     return {
         "skew_algebraic": residual if residual < soliton.CERT_TOL else np.inf,
@@ -301,7 +301,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
     )
 
     checks = []
-    slack = 1e-9
+    slack = coflow.SLACK
     for name, values in (
         ("normSq_nonincreasing", trace.norm_sq),
         ("torsionNormSq_nonincreasing", trace.torsion_sq),
@@ -362,7 +362,7 @@ def cmd_soliton(args: argparse.Namespace) -> int:
             return code
     try:
         report = soliton.certify(A, data, tol)
-    except ValueError as exc:  # the zero bracket has no soliton constants
+    except ValueError as exc:  # no soliton constants: A = 0 or |A|^2 underflows
         print(f"cannot certify bracket: {exc}", file=sys.stderr)
         return 2
     print(

@@ -47,9 +47,9 @@ import numpy as np
 
 from .almost_abelian import (
     _blockdiag,
-    _scalar_diagnostics,
     _symbol_evaluator,
     require_sp,
+    scalar_diagnostics,
 )
 from .exterior import form_norm, pullback
 from .g2 import G2Data, circ
@@ -62,6 +62,7 @@ __all__ = [
     "rhs",
     "norm_derivative",
     "integrate",
+    "SLACK",
     "scalar_bound_check",
     "reconstruct_h",
     "reconstruction_gap",
@@ -69,6 +70,8 @@ __all__ = [
     "write_trace_csv",
     "read_trace_csv",
 ]
+
+SLACK = 1e-9  # of the trace checks: scalar_bound_check, flow's monotonicity
 
 
 class IntegrationError(RuntimeError):
@@ -466,7 +469,7 @@ def integrate(A0: np.ndarray, opts: IntegratorOptions, data: G2Data) -> FlowTrac
     diffs = np.diff(ts)
     steps = np.concatenate([[0.0], diffs])
 
-    diag = _scalar_diagnostics(ys, data)
+    diag = scalar_diagnostics(ys, data)
 
     meta = {
         "options": asdict(opts),
@@ -494,7 +497,7 @@ def integrate(A0: np.ndarray, opts: IntegratorOptions, data: G2Data) -> FlowTrac
     )
 
 
-def scalar_bound_check(trace: FlowTrace, slack: float = 1e-9) -> dict:
+def scalar_bound_check(trace: FlowTrace) -> dict:
     """Two-sided scalar-curvature bound and monotonicity along a trace.
 
     1/(-|t|/2 + 1/R(0)) <= R(t) <= 0 requires R(0) < 0; a flat start makes
@@ -511,14 +514,14 @@ def scalar_bound_check(trace: FlowTrace, slack: float = 1e-9) -> dict:
         return {"skipped": True, "reason": "flat start: R(0) = 0"}
     lower = 1.0 / (-np.abs(trace.ts) / 2.0 + 1.0 / R0)
     bound_ok = bool(
-        np.all(trace.R <= slack) and np.all(trace.R >= lower - slack)
+        np.all(trace.R <= SLACK) and np.all(trace.R >= lower - SLACK)
     )
     return {
         "skipped": False,
         "bound_ok": bound_ok,
         "lower_gap": float(np.min(trace.R - lower)),
         "upper_gap": float(np.max(trace.R)),
-        "R_increasing": bool(np.all(np.diff(trace.R) >= -slack)),
+        "R_increasing": bool(np.all(np.diff(trace.R) >= -SLACK)),
     }
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "multi_indices",
     "index_position",
     "perm_sign",
-    "zero_form",
     "basis_form",
     "from_terms",
     "from_dense",
@@ -180,10 +179,6 @@ class KForm:
         for pos, idx in enumerate(multi_indices(self.n, self.k)):
             if self.coeffs[pos] != 0.0:
                 yield idx, self.coeffs[pos]
-
-
-def zero_form(n: int, k: int) -> KForm:
-    return KForm(n, k, np.zeros(math.comb(n, k)))
 
 
 def basis_form(n: int, idx) -> KForm:

@@ -22,7 +22,6 @@ from .exterior import (
     KForm,
     _flat_index,
     _theta_stack,
-    from_dense,
     hodge_star,
     interior,
     multi_indices,
@@ -37,7 +36,6 @@ __all__ = [
     "koszul_connection",
     "curvature_tensor",
     "ricci_tensor",
-    "scalar_curvature",
     "covariant_derivative_form",
     "covariant_derivative_tensor",
     "divergence_tensor",
@@ -163,11 +161,7 @@ def ricci_tensor(riemann: np.ndarray) -> np.ndarray:
     return np.einsum("ljkl->jk", riemann)
 
 
-def scalar_curvature(ric: np.ndarray) -> float:
-    return float(np.trace(ric))
-
-
-def _nabla_dense(alpha: KForm, gamma: np.ndarray) -> np.ndarray:
+def covariant_derivative_form(alpha: KForm, gamma: np.ndarray) -> np.ndarray:
     """All seven nabla_{e_m} alpha as one dense (7,)*(k+1) array, m first.
 
     The constant-coefficient rule (nabla_m alpha)_{..j..} = -sum over slots
@@ -175,11 +169,6 @@ def _nabla_dense(alpha: KForm, gamma: np.ndarray) -> np.ndarray:
     at once.
     """
     return _theta_stack(gamma.transpose(0, 2, 1), alpha)
-
-
-def covariant_derivative_form(alpha: KForm, gamma: np.ndarray) -> list[KForm]:
-    """[nabla_{e_m} alpha for m in 0..6] via the constant-coefficient rule."""
-    return [from_dense(DIM, alpha.k, a) for a in _nabla_dense(alpha, gamma)]
 
 
 def covariant_derivative_tensor(h: np.ndarray, gamma: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ __all__ = [
     "planar_rhs",
     "embedding_consistency",
     "lyapunov",
-    "invariant_h",
     "log_abs_h",
     "axis_solution",
     "nullcline_flags",
@@ -107,15 +106,9 @@ def lyapunov(x: float, y: float) -> tuple[float, float]:
     return V, Vdot
 
 
-def invariant_h(x: float, y: float) -> float:
-    """Conserved quantity H = (y - x)^2 / (x^3 y^3); undefined on the axes."""
-    if x == 0.0 or y == 0.0:
-        raise ValueError("H is undefined on the coordinate axes")
-    return (y - x) ** 2 / (x**3 * y**3)
-
-
 def log_abs_h(x: float, y: float) -> float:
-    """log|H| = 2 log|y - x| - 3 log|x| - 3 log|y|; -inf on the line y = x.
+    """log|H| of the conserved quantity H = (y - x)^2 / (x^3 y^3):
+    2 log|y - x| - 3 log|x| - 3 log|y|; -inf on the line y = x.
 
     Conservation tests run in log space so trajectories approaching an
     axis do not overflow the raw quotient.
@@ -142,9 +135,10 @@ FLAG_NAMES = (
 )
 
 
-def nullcline_flags(x: float, y: float, tol: float = 1e-9) -> int:
-    """Bitmask over FLAG_NAMES; absolute tolerance on the defining
+def nullcline_flags(x: float, y: float) -> int:
+    """Bitmask over FLAG_NAMES; absolute tolerance 1e-9 on the defining
     polynomials, since grid points rarely sit exactly on a line."""
+    tol = 1e-9
     flags = 0
     if abs(x) < tol:
         flags |= 1
@@ -198,7 +192,7 @@ def integrate_trajectory(
     return sol.t, sol.y[:, 0], sol.y[:, 1]
 
 
-def phase_portrait(grid: PhaseGrid, flag_tol: float = 1e-9) -> list[dict]:
+def phase_portrait(grid: PhaseGrid) -> list[dict]:
     """Per-grid-point dataset: field, Lyapunov pair, log|H|, line flags."""
     xs = np.linspace(grid.xmin, grid.xmax, grid.res)
     ys = np.linspace(grid.ymin, grid.ymax, grid.res)
@@ -218,7 +212,7 @@ def phase_portrait(grid: PhaseGrid, flag_tol: float = 1e-9) -> list[dict]:
                     "Vdot": Vdot,
                     "H_defined": int(defined),
                     "logAbsH": log_abs_h(x, y) if defined else np.nan,
-                    "flags": nullcline_flags(x, y, flag_tol),
+                    "flags": nullcline_flags(x, y),
                 }
             )
     return rows

@@ -7,9 +7,9 @@ algebraic solitons additionally have D^t a derivation, which collapses to
 a single commutator equation in A. All certified solitons here are
 expanding (c < 0) or steady and torsion-free (c = 0).
 
-The constants, the certificates and the derivation search all read the
-one Laplacian symbol (Qh, q) of almost_abelian; with 2 Qh = [A,A^t] +
-S o6 S, d = <Qh, [A,A^t]>/|A|^2 and c = q - d.
+The constants, the certificates and the derivation search all read one
+symbol_terms record of the Laplacian symbol (Qh, q) of almost_abelian;
+with 2 Qh = [A,A^t] + S o6 S, d = <Qh, [A,A^t]>/|A|^2 and c = q - d.
 
 Certification tolerance defaults to 1e-8: the library inputs are exact
 rational/sqrt(2) combinations evaluated in double precision, so this
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from importlib import resources
 
@@ -41,7 +42,8 @@ from .metric_lie import (
 __all__ = [
     "CERT_TOL",
     "SolitonReport",
-    "soliton_constants",
+    "SymbolTerms",
+    "symbol_terms",
     "algebraic_check",
     "semi_algebraic_check",
     "find_derivation",
@@ -92,34 +94,36 @@ _SYM_PART = np.eye(36) + np.eye(36)[np.arange(36).reshape(6, 6).T.ravel()]
 _SYM_PART.setflags(write=False)
 
 
-def _symbol_terms(
-    A: np.ndarray, data: G2Data
-) -> tuple[np.ndarray, np.ndarray, float, float, float]:
-    """(A, Qh, q, c, d) for a nonzero sp bracket, read off the Laplacian
-    symbol Q_A = blockdiag(Qh, q); the certificate stages take this record.
+# The record every certificate stage reads: the sp-gated bracket A, the
+# Laplacian symbol Q_A = blockdiag(Qh, q) and the constants c and d.
+SymbolTerms = namedtuple("SymbolTerms", "A Qh q c d")
 
-    Since 2 Qh = [A,A^t] + S o6 S, d = <Qh, [A,A^t]> / |A|^2, and c = q - d.
-    """
+
+def symbol_terms(A: np.ndarray, data: G2Data) -> SymbolTerms:
+    """A certificate's one symbol evaluation, for a nonzero sp bracket:
+    d = (|[A,A^t]|^2 + <S o6 S, [A,A^t]>) / (2|A|^2) = <Qh, [A,A^t]>/|A|^2
+    and c = q_A - d. A nonzero bracket whose |A|^2 underflows is refused as
+    such, not as the zero bracket."""
     A = require_sp(A, data)
     norm_sq = float(np.sum(A * A))
     if norm_sq == 0.0:
-        raise ValueError("soliton constants are undefined for the zero bracket")
+        tiny = "a bracket whose |A|^2 underflows to 0"
+        why = tiny if np.any(A) else "the zero bracket"
+        raise ValueError(f"soliton constants are undefined for {why}")
     Qh, q = _symbol_evaluator(data)(A.ravel())
     q = float(q)
     d = float(np.sum(Qh * (A @ A.T - A.T @ A))) / norm_sq
-    return A, Qh, q, q - d, d
+    return SymbolTerms(A, Qh, q, q - d, d)
 
 
-def soliton_constants(A: np.ndarray, data: G2Data) -> tuple[float, float]:
-    """c = q_A - d and d = (|[A,A^t]|^2 + <S o6 S, [A,A^t]>) / (2|A|^2)."""
-    _, _, _, c, d = _symbol_terms(A, data)
-    return c, d
+def algebraic_check(sym: SymbolTerms, tol: float = CERT_TOL) -> tuple:
+    """[[A,A^t] + S o6 S, A] = 2d A, plus derivation checks on success.
 
-
-def _algebraic(terms: tuple, tol: float) -> tuple:
-    """(residual, D, derivation defect of D and D^t) of algebraic_check on
-    _symbol_terms, with D = Q_A - cI; D is None unless the check passes."""
-    A, Qh, q, c, d = terms
+    Returns (residual, D, derivation). The residual is the worst of the
+    commutator equation and, when it passes, the derivation defect of
+    D = Q_A - cI and D^t; D is None unless the residual is below tol.
+    """
+    A, Qh, q, c, d = sym
     M = 2.0 * Qh
     residual = float(np.max(np.abs((M @ A - A @ M) - 2.0 * d * A)))
     if residual >= tol:
@@ -130,20 +134,15 @@ def _algebraic(terms: tuple, tol: float) -> tuple:
     return residual, D if residual < tol else None, derivation
 
 
-def algebraic_check(
-    A: np.ndarray, data: G2Data, tol: float = CERT_TOL
-) -> tuple[bool, float]:
-    """[[A,A^t] + S o6 S, A] = 2d A, plus derivation checks on success.
+def semi_algebraic_check(
+    sym: SymbolTerms, D1: np.ndarray, tol: float = CERT_TOL
+) -> tuple[bool, dict]:
+    """Residuals of the semi-algebraic system for a candidate D1.
 
-    The reported residual is the worst of the commutator equation and,
-    when it passes, the derivation defects of D = Q_A - cI and D^t.
+    derivation: [D1, A] - dA; matrix_eq: [A,A^t] + S o6 S - (2c I + D1 +
+    D1^t); symbol: Q_A - (c I_7 + (1/2)(D + D^t)) for D = blockdiag(D1, d).
     """
-    residual = _algebraic(_symbol_terms(A, data), tol)[0]
-    return residual < tol, residual
-
-
-def _semi_algebraic(terms: tuple, D1: np.ndarray, tol: float) -> tuple[bool, dict]:
-    A, Qh, q, c, d = terms
+    A, Qh, q, c, d = sym
     D1 = np.asarray(D1, dtype=float).reshape(6, 6)
     D = _blockdiag(D1, d)
     residuals = {
@@ -158,19 +157,19 @@ def _semi_algebraic(terms: tuple, D1: np.ndarray, tol: float) -> tuple[bool, dic
     return all(v < tol for v in residuals.values()), residuals
 
 
-def semi_algebraic_check(
-    A: np.ndarray, D1: np.ndarray, data: G2Data, tol: float = CERT_TOL
-) -> tuple[bool, dict]:
-    """Residuals of the semi-algebraic system for a candidate D1.
+def find_derivation(
+    sym: SymbolTerms, data: G2Data, tol: float = CERT_TOL
+) -> tuple[np.ndarray | None, dict]:
+    """Least-squares search for D1 with [D1, A] = dA and prescribed
+    symmetric part D1 + D1^t = [A,A^t] + S o6 S - 2cI.
 
-    derivation: [D1, A] - dA; matrix_eq: [A,A^t] + S o6 S - (2c I + D1 +
-    D1^t); symbol: Q_A - (c I_7 + (1/2)(D + D^t)) for D = blockdiag(D1, d).
+    The constraints only see the symmetric part and the commutator, so the
+    skew part carries gauge freedom; among exact solutions the one whose
+    skew part has the smallest phi-contraction (the rotation that fixes
+    psi) is returned, which is what the PDE check needs. Returns None when
+    the best residual exceeds tol.
     """
-    return _semi_algebraic(_symbol_terms(A, data), D1, tol)
-
-
-def _search(terms: tuple, data: G2Data, tol: float) -> tuple[np.ndarray | None, dict]:
-    A, Qh, _, c, d = terms
+    A, Qh, _, c, d = sym
     target = 2.0 * Qh - 2.0 * c * np.eye(6)
 
     # On row-major vec(D1): vec(D1 A - A D1) = (I (x) A^t - A (x) I) vec(D1)
@@ -197,21 +196,6 @@ def _search(terms: tuple, data: G2Data, tol: float) -> tuple[np.ndarray | None, 
     report["nullity"] = int(N.shape[1]) if N.size else 0
     report["gauge_residual"] = float(np.max(np.abs(G @ x0)))
     return x0.reshape(6, 6), report
-
-
-def find_derivation(
-    A: np.ndarray, data: G2Data, tol: float = CERT_TOL
-) -> tuple[np.ndarray | None, dict]:
-    """Least-squares search for D1 with [D1, A] = dA and prescribed
-    symmetric part D1 + D1^t = [A,A^t] + S o6 S - 2cI.
-
-    The constraints only see the symmetric part and the commutator, so the
-    skew part carries gauge freedom; among exact solutions the one whose
-    skew part has the smallest phi-contraction (the rotation that fixes
-    psi) is returned, which is what the PDE check needs. Returns None when
-    the best residual exceeds tol.
-    """
-    return _search(_symbol_terms(A, data), data, tol)
 
 
 def soliton_pde_check(
@@ -293,23 +277,23 @@ def _torsion_free(A: np.ndarray, data: G2Data) -> bool:
 
 def certify(A: np.ndarray, data: G2Data, tol: float = CERT_TOL) -> SolitonReport:
     """Full pipeline: constants, algebraic check, derivation search,
-    PDE and trace-identity residuals, all stages on one _symbol_terms
+    PDE and trace-identity residuals, all stages on one symbol_terms
     record (one symbol evaluation per certificate).
 
     The classification is the package's one steadiness verdict: steady
     when |c| <= tol and the bracket is torsion-free, otherwise the sign
     of c."""
-    A, _, _, c, d = terms = _symbol_terms(A, data)
-    alg_res, D, derivation = _algebraic(terms, tol)
+    A, _, _, c, d = sym = symbol_terms(A, data)
+    alg_res, D, derivation = algebraic_check(sym, tol)
     residuals: dict = {"algebraic_eq": alg_res}
     if D is not None:
         kind = "algebraic"
         residuals["derivation"] = derivation
         residuals["soliton_eq"] = alg_res
     else:
-        D1, search = _search(terms, data, tol)
+        D1, search = find_derivation(sym, data, tol)
         if D1 is not None:
-            ok, semi_res = _semi_algebraic(terms, D1, tol)
+            ok, semi_res = semi_algebraic_check(sym, D1, tol)
             if ok:
                 kind = "semi_algebraic"
                 D = _blockdiag(D1, d)

@@ -64,8 +64,8 @@ from g2coflow.soliton import (
     load_example,
     self_similar_bracket,
     semi_algebraic_check,
-    soliton_constants,
     soliton_pde_check,
+    symbol_terms,
 )
 
 DATA_S4 = canonical_g2("section4")
@@ -230,13 +230,14 @@ def test_criterion_06_long_horizon_flow():
 def test_criterion_07_shipped_example():
     A = FIXTURE["A"]
     D = FIXTURE["D"]
-    c, d = soliton_constants(A, FIX_DATA)
+    sym = symbol_terms(A, FIX_DATA)
+    _, _, _, c, d = sym
     assert abs(c + 2.5) < 1e-12
     assert abs(d - 1.0) < 1e-12
-    ok, residuals = semi_algebraic_check(A, FIXTURE["D1"], FIX_DATA)
+    ok, residuals = semi_algebraic_check(sym, FIXTURE["D1"])
     assert ok, residuals
-    alg_ok, alg_res = algebraic_check(A, FIX_DATA)
-    assert not alg_ok and alg_res > 1.0
+    alg_res, alg_D, _ = algebraic_check(sym)
+    assert alg_D is None and alg_res > 1.0
     pde = soliton_pde_check(A, D, c, FIX_DATA)
     assert pde < 1e-10, pde
     trace = integrate(

@@ -21,8 +21,8 @@ from g2coflow.almost_abelian import (
 from g2coflow.exterior import form_norm, theta
 from g2coflow.g2 import canonical_g2, circ, identity_suite
 from g2coflow.metric_lie import (
-    _nabla_dense,
     ce_differential,
+    covariant_derivative_form,
     curvature_tensor,
     hodge_laplacian,
     koszul_connection,
@@ -104,7 +104,7 @@ def test_torsion_dual_route(convention):
         # (nabla_m alpha)_{..j..} = -sum over slots of Gamma[m,j,p] alpha_{..p..}
         gamma = koszul_connection(A)
         for form in (data.phi, data.psi):
-            stack = _nabla_dense(form, gamma)
+            stack = covariant_derivative_form(form, gamma)
             dense = form.dense()
             for m in range(7):
                 ref = np.zeros_like(dense)
@@ -239,7 +239,7 @@ def test_fixture_diagnostics():
     fixture = load_example("nilpotent3")
     data = canonical_g2(fixture["convention"])
     A = fixture["A"]
-    diag = scalar_diagnostics(A, data)
+    diag = {k: v[0] for k, v in scalar_diagnostics(A[None], data).items()}
     assert abs(diag["trJA"]) < 1e-14
     assert abs(diag["trSSq"] - 3.0) < 1e-13
     assert abs(diag["normSq"] - 6.0) < 1e-13
@@ -258,7 +258,7 @@ def test_fixture_diagnostics():
 def test_complex_structure_bracket_diagnostics():
     data = canonical_g2("example")
     A = data.J.copy()
-    diag = scalar_diagnostics(A, data)
+    diag = {k: v[0] for k, v in scalar_diagnostics(A[None], data).items()}
     assert diag["trJA"] == -6.0
     assert diag["trSSq"] == 0.0
     assert diag["R"] == 0.0

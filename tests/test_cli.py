@@ -328,6 +328,19 @@ def test_soliton_zero_bracket_exits_two(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_soliton_underflowing_bracket_exits_two(convention, tmp_path, capsys):
+    # a unit bracket times 1e-170 is nonzero, but its |A|^2 underflows to 0
+    A = random_sp(np.random.default_rng(5), canonical_g2(convention))
+    tiny = write_bracket(tmp_path / "tiny.json", 1e-170 * A / np.linalg.norm(A))
+    argv = ["soliton", "check", "--bracket", tiny, "--convention", convention]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "cannot certify bracket" in captured.err
+    assert "underflows" in captured.err and "zero bracket" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_flow_non_finite_bracket_exits_two(value, tmp_path, capsys):
     A = random_sp(np.random.default_rng(3), canonical_g2("section4"))
@@ -409,13 +422,13 @@ def test_near_steady_skew_sweep_passes(monkeypatch, convention, capsys):
 @pytest.mark.parametrize("convention", CONVENTIONS)
 def test_skew_sample_reads_one_symbol_record(monkeypatch, convention):
     calls = []
-    inner = soliton._symbol_terms
+    inner = soliton.symbol_terms
 
     def counted(*args):
         calls.append(1)
         return inner(*args)
 
-    monkeypatch.setattr(soliton, "_symbol_terms", counted)
+    monkeypatch.setattr(soliton, "symbol_terms", counted)
     data = canonical_g2(convention)
     for i in range(4):
         cli._sample_skew(data, np.random.default_rng((5, i)))

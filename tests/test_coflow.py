@@ -12,9 +12,8 @@ import pytest
 from scipy.integrate import RK45, solve_ivp
 
 import g2coflow
-from g2coflow import coflow, planar
+from g2coflow import almost_abelian, coflow, planar
 from g2coflow.almost_abelian import (
-    _scalar_diagnostics,
     _symbol_evaluator,
     q_matrix,
     random_sp,
@@ -858,7 +857,7 @@ def test_stepper_makes_no_deprecated_numpy_call():
 
 def test_batched_diagnostics_match_per_sample():
     trace = integrate(_start(21, DATA), IntegratorOptions(t_end=5.0), DATA)
-    diag = _scalar_diagnostics(trace.As, DATA)
+    diag = scalar_diagnostics(trace.As, DATA)
     for i, A in enumerate(trace.As):
         # references by matrix products: R = -tr S^2, |T|^2 from torsion_forms
         S = 0.5 * (A + A.T)
@@ -870,20 +869,39 @@ def test_batched_diagnostics_match_per_sample():
             "trSSq": np.trace(S @ S),
             "normSq": np.sum(A * A),
         }
-        one = scalar_diagnostics(A, DATA)
+        one = scalar_diagnostics(A[None], DATA)
         for key, value in ref.items():
             assert abs(diag[key][i] - value) <= 1e-13 * max(1.0, abs(value))
-            assert abs(one[key] - value) <= 1e-13 * max(1.0, abs(value))
+            assert abs(one[key][0] - value) <= 1e-13 * max(1.0, abs(value))
     assert np.array_equal(trace.R, diag["R"])
     assert np.array_equal(trace.torsion_sq, diag["torsionNormSq"])
     assert np.array_equal(trace.norm_sq, diag["normSq"])
+
+
+def test_integrate_reads_diagnostics_once_through_coflow_binding(monkeypatch):
+    # the benchmark's almost_abelian.scalar_diagnostics.calls counts this call
+    assert coflow.scalar_diagnostics is almost_abelian.scalar_diagnostics
+    assert "scalar_diagnostics" in almost_abelian.__all__
+    calls = []
+    inner = coflow.scalar_diagnostics
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(coflow, "scalar_diagnostics", counted)
+    for direction in ("forward", "backward"):
+        options = IntegratorOptions(t_end=1.0, direction=direction)
+        calls.clear()
+        integrate(_start(21, DATA), options, DATA)
+        assert len(calls) == 1
 
 
 def test_batched_diagnostics_gate_bookkeeping():
     # off sp(R^6) the torsion identity R = (1/4)(tr JA)^2 - |T|^2 fails
     A = rng.standard_normal((1, 6, 6))
     with pytest.raises(AssertionError):
-        _scalar_diagnostics(A, DATA)
+        scalar_diagnostics(A, DATA)
 
 
 def test_trace_csv_matches_per_element_writer(tmp_path):

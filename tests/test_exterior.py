@@ -22,7 +22,6 @@ from g2coflow.exterior import (
     theta,
     volume_form,
     wedge,
-    zero_form,
 )
 
 rng = np.random.default_rng(20240811)
@@ -310,7 +309,7 @@ def test_interior_matches_tensordot_bytes(k):
 
 
 def test_zero_form_and_scalar_ops():
-    z = zero_form(7, 3)
+    z = KForm(7, 3, np.zeros(35))
     a = random_form(7, 3)
     assert form_norm(z + a - a) == 0.0
     assert form_norm(2.0 * a - a - a) < 1e-15

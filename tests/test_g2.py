@@ -391,7 +391,7 @@ def test_nabla_psi_structure():
     nabla_psi = covariant_derivative_form(data.psi, gamma)
     for m in range(7):
         expected = -1.0 * wedge(KForm(7, 1, T[m].copy()), data.phi)
-        assert form_norm(nabla_psi[m] - expected) < 1e-12
+        assert form_norm(from_dense(7, 4, nabla_psi[m]) - expected) < 1e-12
 
 
 def test_pullback_by_flow_of_symmetric_matrix():

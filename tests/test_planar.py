@@ -15,7 +15,6 @@ from g2coflow.planar import (
     embed,
     embedding_consistency,
     integrate_trajectory,
-    invariant_h,
     log_abs_h,
     lyapunov,
     nullcline_flags,
@@ -91,10 +90,10 @@ def test_lyapunov_descends():
 
 
 def test_invariant_field_values():
-    assert invariant_h(1.0, 2.0) == 0.125
+    assert abs(math.exp(log_abs_h(1.0, 2.0)) - 0.125) < 1e-15
     assert log_abs_h(1.0, 1.0) == -np.inf
     with pytest.raises(ValueError):
-        invariant_h(0.0, 1.0)
+        log_abs_h(0.0, 1.0)
     with pytest.raises(ValueError):
         log_abs_h(1.0, 0.0)
     assert abs(log_abs_h(1.0, 2.0) - math.log(0.125)) < 1e-14
