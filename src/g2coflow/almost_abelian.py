@@ -114,8 +114,11 @@ def torsion_forms(A: np.ndarray, data: G2Data) -> TorsionPackage:
     T = blockdiag((1/2)[J,A], (1/2) tr JA); the dual route through
     nabla phi = T . psi is torsion_from_nabla_phi.
     """
-    A = require_sp(A, data)
-    J = data.J
+    return _torsion_forms(require_sp(A, data), data.J)
+
+
+def _torsion_forms(A: np.ndarray, J: np.ndarray) -> TorsionPackage:
+    """torsion_forms of a bracket that has passed the sp gate."""
     tr_ja = float(np.trace(J @ A))
     comm = J @ A - A @ J
     tau0 = 2.0 / 7.0 * tr_ja

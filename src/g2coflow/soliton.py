@@ -7,9 +7,10 @@ algebraic solitons additionally have D^t a derivation, which collapses to
 a single commutator equation in A. All certified solitons here are
 expanding (c < 0) or steady and torsion-free (c = 0).
 
-The constants, the certificates and the derivation search all read one
-symbol_terms record of the Laplacian symbol (Qh, q) of almost_abelian;
-with 2 Qh = [A,A^t] + S o6 S, d = <Qh, [A,A^t]>/|A|^2 and c = q - d.
+The constants, the certificates, the derivation search and the PDE check
+all read one symbol_terms record of the Laplacian symbol (Qh, q) of
+almost_abelian, and its sp gate is a certificate's only one; with
+2 Qh = [A,A^t] + S o6 S, d = <Qh, [A,A^t]>/|A|^2 and c = q - d.
 
 Certification tolerance defaults to 1e-8: the library inputs are exact
 rational/sqrt(2) combinations evaluated in double precision, so this
@@ -26,7 +27,7 @@ from importlib import resources
 
 import numpy as np
 
-from .almost_abelian import _blockdiag, _symbol_evaluator, require_sp, torsion_forms
+from .almost_abelian import _blockdiag, _symbol_evaluator, _torsion_forms, require_sp
 from .exterior import form_norm, theta
 from .g2 import G2Data, circ, ricci_from_torsion
 from .metric_lie import (
@@ -92,6 +93,10 @@ class SolitonReport:
 # permutation
 _SYM_PART = np.eye(36) + np.eye(36)[np.arange(36).reshape(6, 6).T.ravel()]
 _SYM_PART.setflags(write=False)
+# I6 with the axes a Kronecker product broadcasts over: (i, 1, k, 1) for
+# I (x) B, (1, j, 1, l) for B (x) I
+_EYE_LEFT = np.eye(6)[:, None, :, None]
+_EYE_RIGHT = np.eye(6)[None, :, None, :]
 
 
 # The record every certificate stage reads: the sp-gated bracket A, the
@@ -172,9 +177,10 @@ def find_derivation(
     A, Qh, _, c, d = sym
     target = 2.0 * Qh - 2.0 * c * np.eye(6)
 
-    # On row-major vec(D1): vec(D1 A - A D1) = (I (x) A^t - A (x) I) vec(D1)
-    eye = np.eye(6)
-    P = np.concatenate([np.kron(eye, A.T) - np.kron(A, eye), _SYM_PART])
+    # On row-major vec(D1): vec(D1 A - A D1) = (I (x) A^t - A (x) I) vec(D1),
+    # each Kronecker product formed as numpy's kron forms it, bit for bit
+    kron_diff = _EYE_LEFT * A.T[None, :, None, :] - A[:, None, :, None] * _EYE_RIGHT
+    P = np.concatenate([kron_diff.reshape(36, 36), _SYM_PART])
     b = np.concatenate([(d * A).ravel(), target.ravel()])
 
     x0, *_ = np.linalg.lstsq(P, b, rcond=None)
@@ -198,19 +204,17 @@ def find_derivation(
     return x0.reshape(6, 6), report
 
 
-def soliton_pde_check(
-    A: np.ndarray, D: np.ndarray, c: float, data: G2Data
-) -> float:
-    """|Delta psi - lambda psi - L_{X_D} psi| with lambda = -4c.
+def soliton_pde_check(sym: SymbolTerms, D: np.ndarray, data: G2Data) -> float:
+    """|Delta psi - lambda psi - L_{X_D} psi| with lambda = -4c, for the
+    record's A and c.
 
     Delta psi comes from the algebra differential; the Lie derivative
     along X_D = -D (the generator of the pullback family exp(tD)^* psi)
     is theta(D) psi.
     """
-    A = require_sp(A, data)
     D = np.asarray(D, dtype=float).reshape(DIM, DIM)
-    lap = hodge_laplacian(data.psi, A)
-    gap = lap - (-4.0 * c) * data.psi - theta(D, data.psi)
+    lap = hodge_laplacian(data.psi, sym.A)
+    gap = lap - (-4.0 * sym.c) * data.psi - theta(D, data.psi)
     return form_norm(gap)
 
 
@@ -263,10 +267,10 @@ def classify(c: float, tol: float = CERT_TOL) -> str:
     return "expanding" if c < 0 else "shrinking"
 
 
-def _torsion_free(A: np.ndarray, data: G2Data) -> bool:
-    """The torsion-free gate, following the two scalar routes: tr JA = 0
-    and S_A = 0 (so S^2 = 0), equivalent to |T| = 0."""
-    T = torsion_forms(A, data).T
+def _torsion_free(A: np.ndarray, T: np.ndarray, data: G2Data) -> bool:
+    """The torsion-free gate on A and its torsion T, following the two
+    scalar routes: tr JA = 0 and S_A = 0 (so S^2 = 0), equivalent to
+    |T| = 0."""
     S = 0.5 * (A + A.T)
     return bool(
         abs(np.trace(data.J @ A)) < 1e-8
@@ -278,7 +282,9 @@ def _torsion_free(A: np.ndarray, data: G2Data) -> bool:
 def certify(A: np.ndarray, data: G2Data, tol: float = CERT_TOL) -> SolitonReport:
     """Full pipeline: constants, algebraic check, derivation search,
     PDE and trace-identity residuals, all stages on one symbol_terms
-    record (one symbol evaluation per certificate).
+    record (one symbol evaluation and one sp gate per certificate); T is
+    formed once, ungated, where the trace identity or the steady verdict
+    reads it.
 
     The classification is the package's one steadiness verdict: steady
     when |c| <= tol and the bracket is torsion-free, otherwise the sign
@@ -306,14 +312,15 @@ def certify(A: np.ndarray, data: G2Data, tol: float = CERT_TOL) -> SolitonReport
             kind = "none"
             residuals["derivation"] = search["residual"]
 
+    classification = classify(c, tol)
+    if D is not None or classification == "steady":
+        T = _torsion_forms(A, data.J).T
     if D is not None:
-        residuals["pde"] = soliton_pde_check(A, D, c, data)
-        T = torsion_forms(A, data).T
+        residuals["pde"] = soliton_pde_check(sym, D, data)
         X = linear_vector_field(-D)
         residuals["trace_identity"] = trace_identity_check(T, X, -4.0 * c)
 
-    classification = classify(c, tol)
-    if classification == "steady" and not _torsion_free(A, data):
+    if classification == "steady" and not _torsion_free(A, T, data):
         # steady means torsion-free: a skew bracket has c = -(1/4)(tr JA)^2,
         # inside CERT_TOL up to |tr JA| = 2e-4, so the sign decides
         classification = classify(c, 0.0)

@@ -238,7 +238,7 @@ def test_criterion_07_shipped_example():
     assert ok, residuals
     alg_res, alg_D, _ = algebraic_check(sym)
     assert alg_D is None and alg_res > 1.0
-    pde = soliton_pde_check(A, D, c, FIX_DATA)
+    pde = soliton_pde_check(sym, D, FIX_DATA)
     assert pde < 1e-10, pde
     trace = integrate(
         A, IntegratorOptions(t_end=10.0, rel_tol=1e-11, abs_tol=1e-13), FIX_DATA

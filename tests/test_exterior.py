@@ -46,8 +46,8 @@ def test_perm_sign():
 
 def test_basis_form_sign_and_coefficient():
     a = basis_form(7, (2, 0, 1))
-    assert a.coefficient((0, 1, 2)) == 1.0
-    assert a.coefficient((1, 0, 2)) == -1.0
+    assert a.dense()[0, 1, 2] == 1.0
+    assert a.dense()[1, 0, 2] == -1.0
     with pytest.raises(ValueError):
         basis_form(7, (0, 0, 1))
 
@@ -313,3 +313,38 @@ def test_zero_form_and_scalar_ops():
     a = random_form(7, 3)
     assert form_norm(z + a - a) == 0.0
     assert form_norm(2.0 * a - a - a) < 1e-15
+
+
+def _assert_fresh_frozen(form, n, k, *operands):
+    assert (form.n, form.k) == (n, k)
+    assert form.coeffs.dtype == np.float64
+    assert form.coeffs.shape == (math.comb(n, k),)
+    assert not form.coeffs.flags.writeable
+    for operand in operands:
+        assert not np.shares_memory(form.coeffs, operand)
+
+
+def test_computed_forms_are_frozen_fresh_arrays():
+    # the operations freeze the arrays they compute in place; KForm(...)
+    # copies what it is given
+    a, b = random_form(7, 3), random_form(7, 3)
+    c = random_form(7, 1)
+    _assert_fresh_frozen(wedge(a, c), 7, 4, a.coeffs, c.coeffs)
+    _assert_fresh_frozen(a + b, 7, 3, a.coeffs, b.coeffs)
+    _assert_fresh_frozen(a - b, 7, 3, a.coeffs, b.coeffs)
+    _assert_fresh_frozen(-a, 7, 3, a.coeffs)
+    _assert_fresh_frozen(2.0 * a, 7, 3, a.coeffs)
+    _assert_fresh_frozen(a * 1.0, 7, 3, a.coeffs)
+    arr = a.dense().copy()
+    _assert_fresh_frozen(from_dense(7, 3, arr), 7, 3, arr, a.dense())
+    g = np.eye(7) + 0.1 * np.diag(np.arange(7.0))
+    for k in range(8):
+        form = random_form(7, k)
+        _assert_fresh_frozen(hodge_star(form), 7, 7 - k, form.coeffs)
+        _assert_fresh_frozen(hodge_star(form, g), 7, 7 - k, form.coeffs, g)
+    raw = rng.standard_normal(35)
+    _assert_fresh_frozen(KForm(7, 3, raw), 7, 3, raw)
+    assert raw.flags.writeable
+    # from_dense reads outside arrays, so it keeps KForm's degree check
+    with pytest.raises(ValueError, match="degree"):
+        from_dense(8, 3, np.zeros((8, 8, 8)))

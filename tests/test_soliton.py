@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from g2coflow import soliton
+from g2coflow import almost_abelian, soliton
 from g2coflow.almost_abelian import (
     q_matrix,
     random_sp,
@@ -111,9 +111,10 @@ def test_find_derivation_recovers_shipped_block():
 
 
 def test_fixture_pde_residual_and_wrong_scaling():
-    assert soliton_pde_check(A_FIX, D_FIX, -2.5, DATA) < 1e-12
+    sym = symbol_terms(A_FIX, DATA)
+    assert soliton_pde_check(sym._replace(c=-2.5), D_FIX, DATA) < 1e-12
     # dropping the scaling term leaves exactly |10 psi| = 10 sqrt(7)
-    gap = soliton_pde_check(A_FIX, D_FIX, 0.0, DATA)
+    gap = soliton_pde_check(sym._replace(c=0.0), D_FIX, DATA)
     assert abs(gap - 10.0 * math.sqrt(7.0)) < 1e-10
 
 
@@ -174,6 +175,76 @@ def test_certify_evaluates_the_symbol_once(monkeypatch):
             "derivation_residual": derivation_calls,
             "find_derivation": searches,
         }
+
+
+def _bracket_families(seed):
+    """(name, A, data) for a random, a skew and an su(3) bracket per
+    convention, and the fixture."""
+    local = np.random.default_rng(seed)
+    out = []
+    for convention in CONVENTIONS:
+        data = canonical_g2(convention)
+        for name, sampler in (
+            ("random", random_sp),
+            ("skew", random_sp_skew),
+            ("su3", random_su3),
+        ):
+            out.append((f"{name}/{convention}", sampler(local, data), data))
+    out.append(("fixture", A_FIX, DATA))
+    return out
+
+
+def test_derivation_system_matches_kron_bytes(monkeypatch):
+    # find_derivation's commutator block is np.kron's, bit for bit, with the
+    # signs of its zeros
+    systems = []
+    lstsq = np.linalg.lstsq
+
+    def recording_lstsq(P, b, **kwargs):
+        systems.append(P.copy())
+        return lstsq(P, b, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+    eye = np.eye(6)
+    negative_zeros = 0
+    for name, A, data in _bracket_families(20261022):
+        systems.clear()
+        sym = symbol_terms(A, data)
+        find_derivation(sym, data)
+        A = sym.A
+        kron = np.concatenate([np.kron(eye, A.T) - np.kron(A, eye), soliton._SYM_PART])
+        assert systems[0].tobytes() == kron.tobytes(), name
+        negative_zeros += int(np.sum((kron == 0.0) & np.signbit(kron)))
+    assert negative_zeros > 0
+
+
+def test_certify_runs_the_sp_gate_once(monkeypatch):
+    calls = {"sp_check": 0, "torsion": 0}
+    sp_check = almost_abelian.sp_check
+    torsion = soliton._torsion_forms
+
+    def counted_sp_check(*args, **kwargs):
+        calls["sp_check"] += 1
+        return sp_check(*args, **kwargs)
+
+    def counted_torsion(*args):
+        calls["torsion"] += 1
+        return torsion(*args)
+
+    # require_sp, the gate of symbol_terms and torsion_forms, reads this name
+    monkeypatch.setattr(almost_abelian, "sp_check", counted_sp_check)
+    monkeypatch.setattr(soliton, "_torsion_forms", counted_torsion)
+    for name, A, data in _bracket_families(20261023):
+        calls.update(sp_check=0, torsion=0)
+        report = certify(A, data)
+        # T is formed once when the trace identity or the steady verdict
+        # reads it, and not at all for a generic bracket
+        needs_torsion = report.kind != "none" or abs(report.c) <= CERT_TOL
+        assert calls == {"sp_check": 1, "torsion": int(needs_torsion)}, name
+        if name.startswith(("skew", "su3")):
+            assert report.kind == "algebraic", name
+        if name.startswith("su3"):
+            assert report.classification == "steady", name
 
 
 def test_general_conditions_on_fixture():
