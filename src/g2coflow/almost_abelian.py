@@ -32,6 +32,7 @@ __all__ = [
     "random_su3",
     "TorsionPackage",
     "torsion_forms",
+    "torsion_forms_ungated",
     "torsion_from_nabla_phi",
     "t_circ_t",
     "q_matrix",
@@ -114,11 +115,13 @@ def torsion_forms(A: np.ndarray, data: G2Data) -> TorsionPackage:
     T = blockdiag((1/2)[J,A], (1/2) tr JA); the dual route through
     nabla phi = T . psi is torsion_from_nabla_phi.
     """
-    return _torsion_forms(require_sp(A, data), data.J)
+    return torsion_forms_ungated(require_sp(A, data), data)
 
 
-def _torsion_forms(A: np.ndarray, J: np.ndarray) -> TorsionPackage:
-    """torsion_forms of a bracket that has passed the sp gate."""
+def torsion_forms_ungated(A: np.ndarray, data: G2Data) -> TorsionPackage:
+    """torsion_forms of a bracket that has already passed the sp gate
+    (require_sp); it runs no gate of its own."""
+    J = data.J
     tr_ja = float(np.trace(J @ A))
     comm = J @ A - A @ J
     tau0 = 2.0 / 7.0 * tr_ja

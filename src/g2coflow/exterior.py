@@ -5,9 +5,7 @@ with fully antisymmetric coefficients; the stored representation is the
 vector of coefficients over lexicographically increasing multi-indices, so a
 3-form on R^7 is a length-35 vector. The orientation is e^1 ^ ... ^ e^n and
 the frame metric is the identity unless a Gram matrix is passed explicitly.
-All operations are pure functions; KForm values are immutable. KForm(...)
-validates and copies outside input once; the forms the package computes are
-built by _new_form, which freezes their new coefficient vector in place.
+All operations are pure functions; KForm values are immutable.
 """
 
 from __future__ import annotations
@@ -125,7 +123,8 @@ class KForm:
     )
 
     def __post_init__(self):
-        _check_degree(self.n, self.k)
+        if not (0 <= self.k <= self.n <= 7):
+            raise ValueError(f"degree {self.k} not in range for n={self.n} (n <= 7)")
         c = np.asarray(self.coeffs, dtype=float).reshape(-1).copy()
         if c.size != math.comb(self.n, self.k):
             raise ValueError(
@@ -137,17 +136,17 @@ class KForm:
 
     def __add__(self, other: "KForm") -> "KForm":
         self._check_compatible(other)
-        return _new_form(self.n, self.k, self.coeffs + other.coeffs)
+        return KForm(self.n, self.k, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "KForm") -> "KForm":
         self._check_compatible(other)
-        return _new_form(self.n, self.k, self.coeffs - other.coeffs)
+        return KForm(self.n, self.k, self.coeffs - other.coeffs)
 
     def __neg__(self) -> "KForm":
-        return _new_form(self.n, self.k, -self.coeffs)
+        return KForm(self.n, self.k, -self.coeffs)
 
     def __mul__(self, scalar: float) -> "KForm":
-        return _new_form(self.n, self.k, self.coeffs * float(scalar))
+        return KForm(self.n, self.k, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
 
@@ -175,21 +174,6 @@ class KForm:
                 yield idx, self.coeffs[pos]
 
 
-def _check_degree(n: int, k: int) -> None:
-    if not (0 <= k <= n <= 7):
-        raise ValueError(f"degree {k} not in range for n={n} (n <= 7)")
-
-
-def _new_form(n: int, k: int, coeffs: np.ndarray) -> KForm:
-    """KForm around a float coefficient vector of length comb(n, k) that the
-    caller has just built and shares with nothing: frozen in place, neither
-    validated nor copied."""
-    coeffs.setflags(write=False)
-    form = object.__new__(KForm)
-    form.__dict__.update(n=n, k=k, coeffs=coeffs, _dense=None)
-    return form
-
-
 def basis_form(n: int, idx) -> KForm:
     """Unit wedge monomial e^{i1} ^ ... ^ e^{ik} for 0-based idx (any order)."""
     return from_terms(n, len(idx), [(idx, 1.0)])
@@ -209,11 +193,10 @@ def from_terms(n: int, k: int, terms) -> KForm:
 
 def from_dense(n: int, k: int, arr: np.ndarray) -> KForm:
     """KForm from a fully antisymmetric dense array (entries read as-is)."""
-    _check_degree(n, k)
     arr = np.asarray(arr, dtype=float)
     if arr.shape != (n,) * k:
         raise ValueError(f"expected shape {(n,) * k}, got {arr.shape}")
-    return _new_form(n, k, arr.reshape(-1)[_increasing_flat(n, k)])
+    return KForm(n, k, arr.reshape(-1)[_increasing_flat(n, k)])
 
 
 @lru_cache(maxsize=None)
@@ -249,8 +232,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
         raise ValueError(f"wedge degree {k} exceeds dimension {a.n}")
     pa, pb, po, sign = _wedge_table(a.n, a.k, b.k)
     weights = sign * a.coeffs[pa] * b.coeffs[pb]
-    out = np.bincount(po, weights=weights, minlength=math.comb(a.n, k))
-    return _new_form(a.n, k, out)
+    return KForm(a.n, k, np.bincount(po, weights=weights, minlength=math.comb(a.n, k)))
 
 
 def interior(v: np.ndarray, a: KForm) -> KForm:
@@ -298,7 +280,7 @@ def hodge_star(a: KForm, g: np.ndarray | None = None) -> KForm:
     pos, sign = _star_table(n, k)
     coeffs = np.zeros(math.comb(n, n - k))
     coeffs[pos] = sign * a.coeffs
-    return _new_form(n, n - k, scale * coeffs)
+    return KForm(n, n - k, scale * coeffs)
 
 
 @lru_cache(maxsize=None)

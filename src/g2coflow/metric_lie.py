@@ -21,7 +21,6 @@ import numpy as np
 from .exterior import (
     KForm,
     _flat_index,
-    _new_form,
     _theta_stack,
     hodge_star,
     interior,
@@ -114,11 +113,11 @@ def ce_differential(alpha: KForm, A: np.ndarray) -> KForm:
     A = _as_bracket(A)
     size = len(multi_indices(n, k + 1))
     if k == 0:  # brackets need two arguments
-        return _new_form(n, 1, np.zeros(size))
+        return KForm(n, 1, np.zeros(size))
     pos, col, rest, sign = _ce_table(k)
     ideal = alpha.dense().reshape(DIM, -1)[:6]
     terms = sign * np.einsum("mi,mi->i", A[:, col], ideal[:, rest])
-    return _new_form(n, k + 1, np.bincount(pos, weights=terms, minlength=size))
+    return KForm(n, k + 1, np.bincount(pos, weights=terms, minlength=size))
 
 
 def codifferential(alpha: KForm, A: np.ndarray, g: np.ndarray | None = None) -> KForm:

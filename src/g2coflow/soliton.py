@@ -27,7 +27,12 @@ from importlib import resources
 
 import numpy as np
 
-from .almost_abelian import _blockdiag, _symbol_evaluator, _torsion_forms, require_sp
+from .almost_abelian import (
+    _blockdiag,
+    _symbol_evaluator,
+    require_sp,
+    torsion_forms_ungated,
+)
 from .exterior import form_norm, theta
 from .g2 import G2Data, circ, ricci_from_torsion
 from .metric_lie import (
@@ -94,9 +99,11 @@ class SolitonReport:
 _SYM_PART = np.eye(36) + np.eye(36)[np.arange(36).reshape(6, 6).T.ravel()]
 _SYM_PART.setflags(write=False)
 # I6 with the axes a Kronecker product broadcasts over: (i, 1, k, 1) for
-# I (x) B, (1, j, 1, l) for B (x) I
-_EYE_LEFT = np.eye(6)[:, None, :, None]
-_EYE_RIGHT = np.eye(6)[None, :, None, :]
+# I (x) B, (1, j, 1, l) for B (x) I; read-only views of one frozen I6
+_EYE6 = np.eye(6)
+_EYE6.setflags(write=False)
+_EYE_LEFT = _EYE6[:, None, :, None]
+_EYE_RIGHT = _EYE6[None, :, None, :]
 
 
 # The record every certificate stage reads: the sp-gated bracket A, the
@@ -283,8 +290,8 @@ def certify(A: np.ndarray, data: G2Data, tol: float = CERT_TOL) -> SolitonReport
     """Full pipeline: constants, algebraic check, derivation search,
     PDE and trace-identity residuals, all stages on one symbol_terms
     record (one symbol evaluation and one sp gate per certificate); T is
-    formed once, ungated, where the trace identity or the steady verdict
-    reads it.
+    formed once, by torsion_forms_ungated on the record's gated A, where
+    the trace identity or the steady verdict reads it.
 
     The classification is the package's one steadiness verdict: steady
     when |c| <= tol and the bracket is torsion-free, otherwise the sign
@@ -314,7 +321,7 @@ def certify(A: np.ndarray, data: G2Data, tol: float = CERT_TOL) -> SolitonReport
 
     classification = classify(c, tol)
     if D is not None or classification == "steady":
-        T = _torsion_forms(A, data.J).T
+        T = torsion_forms_ungated(A, data).T
     if D is not None:
         residuals["pde"] = soliton_pde_check(sym, D, data)
         X = linear_vector_field(-D)

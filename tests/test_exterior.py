@@ -325,8 +325,8 @@ def _assert_fresh_frozen(form, n, k, *operands):
 
 
 def test_computed_forms_are_frozen_fresh_arrays():
-    # the operations freeze the arrays they compute in place; KForm(...)
-    # copies what it is given
+    # every computed form holds its own read-only coefficient vector;
+    # KForm(...) copies what it is given
     a, b = random_form(7, 3), random_form(7, 3)
     c = random_form(7, 1)
     _assert_fresh_frozen(wedge(a, c), 7, 4, a.coeffs, c.coeffs)
@@ -345,6 +345,6 @@ def test_computed_forms_are_frozen_fresh_arrays():
     raw = rng.standard_normal(35)
     _assert_fresh_frozen(KForm(7, 3, raw), 7, 3, raw)
     assert raw.flags.writeable
-    # from_dense reads outside arrays, so it keeps KForm's degree check
+    # from_dense reads outside arrays and keeps KForm's degree check
     with pytest.raises(ValueError, match="degree"):
         from_dense(8, 3, np.zeros((8, 8, 8)))

@@ -106,7 +106,8 @@ def test_differential_squares_to_zero():
 
 
 def test_differential_builds_frozen_fresh_forms():
-    # ce_differential, and so the Laplacian, freeze the arrays they compute
+    # ce_differential and the Laplacian return read-only coefficient vectors
+    # of their own
     local = np.random.default_rng(20261022)
     A = random_sp(local, DATA)
     for k in range(7):

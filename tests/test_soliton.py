@@ -221,7 +221,7 @@ def test_derivation_system_matches_kron_bytes(monkeypatch):
 def test_certify_runs_the_sp_gate_once(monkeypatch):
     calls = {"sp_check": 0, "torsion": 0}
     sp_check = almost_abelian.sp_check
-    torsion = soliton._torsion_forms
+    torsion = soliton.torsion_forms_ungated
 
     def counted_sp_check(*args, **kwargs):
         calls["sp_check"] += 1
@@ -233,7 +233,7 @@ def test_certify_runs_the_sp_gate_once(monkeypatch):
 
     # require_sp, the gate of symbol_terms and torsion_forms, reads this name
     monkeypatch.setattr(almost_abelian, "sp_check", counted_sp_check)
-    monkeypatch.setattr(soliton, "_torsion_forms", counted_torsion)
+    monkeypatch.setattr(soliton, "torsion_forms_ungated", counted_torsion)
     for name, A, data in _bracket_families(20261023):
         calls.update(sp_check=0, torsion=0)
         report = certify(A, data)
