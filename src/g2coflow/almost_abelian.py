@@ -15,7 +15,6 @@ entry). Torsion normalization is nabla_m phi = (T e_m) -| psi.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,7 +29,6 @@ __all__ = [
     "random_sp_symmetric",
     "random_sp_skew",
     "random_su3",
-    "TorsionPackage",
     "torsion_forms",
     "torsion_forms_ungated",
     "torsion_from_nabla_phi",
@@ -48,13 +46,14 @@ def _blockdiag(block: np.ndarray, corner: float) -> np.ndarray:
     return out
 
 
-def sp_check(A: np.ndarray, data: G2Data, tol: float = 1e-10) -> tuple[bool, float]:
-    """Whether A J + J A^t = 0, with the max-abs residual (read through
-    data._sp_residual, the map the flow's drift gate reads)."""
+def sp_check(A: np.ndarray, data: G2Data) -> tuple[bool, float]:
+    """Whether A J + J A^t = 0 to 1e-10 relative to max(1, max |A_ij|), with
+    the max-abs residual (read through data._sp_residual, the map the flow's
+    drift gate reads)."""
     A = _as_bracket(A)
     residual = float(np.max(np.abs(data._sp_residual @ A.reshape(36))))
     scale = max(1.0, float(np.max(np.abs(A))))
-    return residual <= tol * scale, residual
+    return residual <= 1e-10 * scale, residual
 
 
 def require_sp(A: np.ndarray, data: G2Data) -> np.ndarray:
@@ -65,69 +64,45 @@ def require_sp(A: np.ndarray, data: G2Data) -> np.ndarray:
     return A
 
 
-def random_sp(
-    rng: np.random.Generator, data: G2Data, scale: float = 1.0
-) -> np.ndarray:
+def random_sp(rng: np.random.Generator, data: G2Data) -> np.ndarray:
     """Random element of sp(R^6): J-anti-commuting symmetric part plus
     J-commuting skew part."""
-    return random_sp_symmetric(rng, data, scale) + random_sp_skew(rng, data, scale)
+    return random_sp_symmetric(rng, data) + random_sp_skew(rng, data)
 
 
-def random_sp_symmetric(
-    rng: np.random.Generator, data: G2Data, scale: float = 1.0
-) -> np.ndarray:
+def random_sp_symmetric(rng: np.random.Generator, data: G2Data) -> np.ndarray:
     J = data.J
-    S0 = rng.standard_normal((6, 6)) * scale
+    S0 = rng.standard_normal((6, 6))
     S0 = 0.5 * (S0 + S0.T)
     return 0.5 * (S0 + J @ S0 @ J)
 
 
-def random_sp_skew(
-    rng: np.random.Generator, data: G2Data, scale: float = 1.0
-) -> np.ndarray:
+def random_sp_skew(rng: np.random.Generator, data: G2Data) -> np.ndarray:
     J = data.J
-    K0 = rng.standard_normal((6, 6)) * scale
+    K0 = rng.standard_normal((6, 6))
     K0 = 0.5 * (K0 - K0.T)
     return 0.5 * (K0 - J @ K0 @ J)
 
 
-def random_su3(
-    rng: np.random.Generator, data: G2Data, scale: float = 1.0
-) -> np.ndarray:
+def random_su3(rng: np.random.Generator, data: G2Data) -> np.ndarray:
     """Random element of su(3) = {A in sp skew-symmetric, tr(JA) = 0}."""
     J = data.J
-    K = random_sp_skew(rng, data, scale)
+    K = random_sp_skew(rng, data)
     return K + np.trace(J @ K) / 6.0 * J
 
 
-@dataclass(frozen=True)
-class TorsionPackage:
-    """Coclosed torsion data: scalar part, 27-part, and the full tensor."""
-
-    tau0: float
-    tau27: np.ndarray
-    T: np.ndarray
-
-
-def torsion_forms(A: np.ndarray, data: G2Data) -> TorsionPackage:
-    """Block closed forms tau0 = (2/7) tr JA, tau27, T = (tau0/4) g - tau27.
-
-    T = blockdiag((1/2)[J,A], (1/2) tr JA); the dual route through
-    nabla phi = T . psi is torsion_from_nabla_phi.
-    """
+def torsion_forms(A: np.ndarray, data: G2Data) -> np.ndarray:
+    """The torsion T = blockdiag((1/2)[J,A], (1/2) tr JA) (7x7), symmetric
+    to rounding: T = (tau0/4) g - tau27 with tau0 = (2/7) tr JA. The dual
+    route through nabla phi = T . psi is torsion_from_nabla_phi."""
     return torsion_forms_ungated(require_sp(A, data), data)
 
 
-def torsion_forms_ungated(A: np.ndarray, data: G2Data) -> TorsionPackage:
+def torsion_forms_ungated(A: np.ndarray, data: G2Data) -> np.ndarray:
     """torsion_forms of a bracket that has already passed the sp gate
     (require_sp); it runs no gate of its own."""
     J = data.J
-    tr_ja = float(np.trace(J @ A))
-    comm = J @ A - A @ J
-    tau0 = 2.0 / 7.0 * tr_ja
-    tau27 = _blockdiag(tr_ja / 14.0 * np.eye(6) - 0.5 * comm, -3.0 / 7.0 * tr_ja)
-    T = _blockdiag(0.5 * comm, 0.5 * tr_ja)
-    return TorsionPackage(tau0=tau0, tau27=tau27, T=T)
+    return _blockdiag(0.5 * (J @ A - A @ J), 0.5 * float(np.trace(J @ A)))
 
 
 def torsion_from_nabla_phi(

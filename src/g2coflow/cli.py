@@ -7,12 +7,14 @@ Exit codes: 0 success, 1 failed identity or assertion (the offending
 residual is named on stdout; a NaN or infinite residual always fails, and
 so does a certificate whose c, d or residuals are not finite),
 2 unreadable or out-of-range input (a missing, malformed or non-finite
-bracket file, a zero bracket, or one whose |A|^2 underflows, to certify,
-an unknown --example fixture, a --trajectory that is not two numbers, a
-count that is not a positive integer, a --seed or --trajectories that is
-not a non-negative integer, a tolerance (G2COFLOW_TOL included) or
-horizon that is not a positive finite number, a phase grid below two
-points or with non-finite or empty bounds, in every phase mode),
+bracket file, one whose A is not 6x6, a zero bracket, or one whose |A|^2
+underflows, to certify, an unknown --example fixture, a --trajectory that
+is not two numbers, a count that is not a positive integer, a --seed or
+--trajectories that is not a non-negative integer, a tolerance
+(G2COFLOW_TOL included) or horizon that is not a positive finite number,
+a phase grid below two points or with non-finite or empty bounds, in
+every phase mode, or more than one of phase's --nullclines, --trajectory
+and --trajectories),
 integrator or output-write failure (a --report, --out or trajectory file
 that cannot be written), 3 non-symplectic bracket input.
 
@@ -83,7 +85,7 @@ def _sample_laplacian(data: G2Data, rng: np.random.Generator) -> dict[str, float
 
 def _sample_torsion(data: G2Data, rng: np.random.Generator) -> dict[str, float]:
     A = random_sp(rng, data)
-    T = torsion_forms(A, data).T
+    T = torsion_forms(A, data)
     T2, solve_res = torsion_from_nabla_phi(A, data)
     return {
         "torsion_dual_route": float(np.max(np.abs(T - T2))),
@@ -93,7 +95,7 @@ def _sample_torsion(data: G2Data, rng: np.random.Generator) -> dict[str, float]:
 
 def _sample_ricci(data: G2Data, rng: np.random.Generator) -> dict[str, float]:
     A = random_sp(rng, data)
-    T = torsion_forms(A, data).T
+    T = torsion_forms(A, data)
     gamma = koszul_connection(A)
     phi_d = data.phi.dense()
     nT = covariant_derivative_tensor(T, gamma)
@@ -110,24 +112,24 @@ def _sample_ricci(data: G2Data, rng: np.random.Generator) -> dict[str, float]:
 
 def _sample_bianchi(data: G2Data, rng: np.random.Generator) -> dict[str, float]:
     A = random_sp(rng, data)
-    T = torsion_forms(A, data).T
+    T = torsion_forms(A, data)
     return {"bianchi": float(np.max(np.abs(bianchi_defect(T, A, data))))}
 
 
 def _sample_lie(data: G2Data, rng: np.random.Generator) -> dict[str, float]:
     A = random_sp(rng, data)
     gamma = koszul_connection(A)
-    T = torsion_forms(A, data).T
+    T = torsion_forms(A, data)
     phi_d = data.phi.dense()
     curl_T = curl_tensor(T, gamma, phi_d)
     div_T = divergence_tensor(T, gamma)
-    a, Xv, s = laplacian_closed_form(T, curl_T, div_T, data)
-    lap_gap = assemble_4form(a, Xv, s, data) - hodge_laplacian(data.psi, A)
+    lap = laplacian_closed_form(T, curl_T, div_T, data)
+    lap_gap = assemble_4form(lap, data) - hodge_laplacian(data.psi, A)
 
     X = rng.uniform(-1.0, 1.0, 7)
     field = invariant_vector_field(X, gamma)
-    dec = lie_derivative_psi_decomposition(field, T, data)
-    lie_gap = dec.total - lie_derivative_form(X, data.psi, A)
+    lie = lie_derivative_psi_decomposition(field, T, data)
+    lie_gap = assemble_4form(lie, data) - lie_derivative_form(X, data.psi, A)
     return {
         "laplacian_closed_form": float(np.max(np.abs(lap_gap.dense()))),
         "lie_derivative_closed_form": float(np.max(np.abs(lie_gap.dense()))),
@@ -139,7 +141,7 @@ def _sample_skew(data: G2Data, rng: np.random.Generator) -> dict[str, float]:
     # when torsion-free: c from the one symbol record, T from torsion_forms
     A, _, _, c, _ = sym = soliton.symbol_terms(random_sp_skew(rng, data), data)
     residual = soliton.algebraic_check(sym)[0]
-    T = torsion_forms(A, data).T
+    T = torsion_forms(A, data)
     return {
         "skew_algebraic": residual if residual < soliton.CERT_TOL else np.inf,
         "skew_c_nonpositive": max(c, 0.0),
@@ -252,7 +254,9 @@ def _read_bracket(path: str, data: G2Data) -> tuple[np.ndarray | None, int]:
     (None, exit code) with the reason on stderr: 2 unreadable, 3 not in sp."""
     try:
         with open(path) as fh:
-            A = np.asarray(json.load(fh)["A"], dtype=float).reshape(6, 6)
+            A = np.asarray(json.load(fh)["A"], dtype=float)
+        if A.shape != (6, 6):
+            raise ValueError(f"A has shape {A.shape}, expected (6, 6)")
         if not np.isfinite(A).all():
             raise ValueError("non-finite entries")
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -545,18 +549,20 @@ def _parser() -> argparse.ArgumentParser:
     p_phase.add_argument("--ymin", type=float, default=-2.0)
     p_phase.add_argument("--ymax", type=float, default=2.0)
     p_phase.add_argument("--res", type=_positive_count, default=101)
-    p_phase.add_argument("--trajectory", type=_point, help="start point 'x,y'")
-    p_phase.add_argument(
+    # one mode per run: nullclines, one trajectory, or the grid with random
+    # trajectories; a mix is a usage error (exit 2)
+    mode = p_phase.add_mutually_exclusive_group()
+    mode.add_argument("--nullclines", action="store_true")
+    mode.add_argument("--trajectory", type=_point, help="start point 'x,y'")
+    mode.add_argument(
         "--trajectories",
         type=_nonnegative_count,
-        default=0,
         help="random starts, written as trajectory_seed{seed}_{i}.csv beside --out",
     )
     p_phase.add_argument("--t-end", type=_positive_finite, default=5.0)
     p_phase.add_argument(
         "--seed", type=_nonnegative_count, default=0, help="random-start seed"
     )
-    p_phase.add_argument("--nullclines", action="store_true")
     p_phase.add_argument("--out", default=None)
     return parser
 

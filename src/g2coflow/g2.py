@@ -15,6 +15,7 @@ Hodge star hold verbatim for every convention.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,7 +59,6 @@ __all__ = [
     "einstein_defect",
     "laplacian_closed_form",
     "assemble_4form",
-    "PsiLieDerivative",
     "lie_derivative_psi_decomposition",
     "infinitesimal_symmetry_check",
 ]
@@ -272,14 +272,11 @@ def circ(h: np.ndarray, k: np.ndarray, data: G2Data) -> np.ndarray:
     return Y.reshape(DIM, DIM * DIM) @ p.reshape(DIM, DIM * DIM).T
 
 
-@dataclass(frozen=True)
-class Decomposition4:
-    """Type components of a 4-form: a psi + X-flat ^ phi + star i_phi(s)."""
-
-    a: float
-    X: np.ndarray
-    s: np.ndarray
-    residual: float
+# The package's one record of a 4-form's type components in the 1 + 7 + 27
+# splitting a psi + X-flat ^ phi + star i_phi(s): decompose_4form,
+# laplacian_closed_form and lie_derivative_psi_decomposition return it, and
+# assemble_4form forms the 4-form it stands for.
+Decomposition4 = namedtuple("Decomposition4", "a X s")
 
 
 def decompose_4form(xi: KForm, data: G2Data) -> Decomposition4:
@@ -296,9 +293,7 @@ def decompose_4form(xi: KForm, data: G2Data) -> Decomposition4:
         ]
     )
     C = np.einsum("imnp,jmnp->ij", xi.dense(), data.psi.dense())
-    s = 2.0 * a * np.eye(DIM) - (C + C.T) / 24.0
-    recon = assemble_4form(a, X, s, data)
-    return Decomposition4(a=a, X=X, s=s, residual=form_norm(xi - recon))
+    return Decomposition4(a, X, 2.0 * a * np.eye(DIM) - (C + C.T) / 24.0)
 
 
 def identity_suite(data: G2Data) -> dict[str, float]:
@@ -448,8 +443,8 @@ def laplacian_closed_form(
     curl_T: np.ndarray,
     div_T: np.ndarray,
     data: G2Data,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Component triple (a, X, s) of the Hodge Laplacian of psi, coclosed case.
+) -> Decomposition4:
+    """Components (a, X, s) of the Hodge Laplacian of psi, coclosed case.
 
     Delta psi = a psi + X-flat ^ phi + star i_phi(s) with
     a = (2/7)((tr T)^2 + |T|^2), X = div T and
@@ -467,31 +462,22 @@ def laplacian_closed_form(
         - tr * T
         + (tr**2 + norm_sq) / 14.0 * np.eye(DIM)
     )
-    return a, np.asarray(div_T, dtype=float).copy(), s
+    return Decomposition4(a, np.asarray(div_T, dtype=float).copy(), s)
 
 
-def assemble_4form(a: float, X: np.ndarray, s: np.ndarray, data: G2Data) -> KForm:
-    """Rebuild a psi + X-flat ^ phi + star i_phi(s); inverse of decompose_4form."""
+def assemble_4form(dec: Decomposition4, data: G2Data) -> KForm:
+    """The 4-form a psi + X-flat ^ phi + star i_phi(s) of the components;
+    inverse of decompose_4form."""
     return (
-        a * data.psi
-        + wedge(KForm(DIM, 1, np.asarray(X, dtype=float)), data.phi)
-        + data.star(i_phi(s, data))
+        dec.a * data.psi
+        + wedge(KForm(DIM, 1, np.asarray(dec.X, dtype=float)), data.phi)
+        + data.star(i_phi(dec.s, data))
     )
-
-
-@dataclass(frozen=True)
-class PsiLieDerivative:
-    """Components of L_X psi in the 1 + 7 + 27 splitting."""
-
-    a: float
-    w: np.ndarray
-    s: np.ndarray
-    total: KForm
 
 
 def lie_derivative_psi_decomposition(
     field: VectorField, T: np.ndarray, data: G2Data
-) -> PsiLieDerivative:
+) -> Decomposition4:
     """L_X psi = (4/7)(div X) psi + (-1/2 Curl X - X -| T)-flat ^ phi
     + star i_phi((1/7)(div X) g - (1/2) L_X g).
 
@@ -504,12 +490,7 @@ def lie_derivative_psi_decomposition(
         "a,ab->b", field.value, np.asarray(T, dtype=float)
     )
     s = (div_x / 7.0) * np.eye(DIM) - 0.5 * field.lie_derivative_metric
-    total = (
-        (4.0 / 7.0) * div_x * data.psi
-        + wedge(KForm(DIM, 1, w), data.phi)
-        + data.star(i_phi(s, data))
-    )
-    return PsiLieDerivative(a=(4.0 / 7.0) * div_x, w=w, s=s, total=total)
+    return Decomposition4((4.0 / 7.0) * div_x, w, s)
 
 
 def infinitesimal_symmetry_check(
@@ -522,9 +503,10 @@ def infinitesimal_symmetry_check(
     """
     killing = float(np.max(np.abs(field.lie_derivative_metric)))
     decomposition = lie_derivative_psi_decomposition(field, T, data)
-    # -2 w is Curl X + 2 (X -| T) bit for bit: both scalings are by powers of 2
-    curl_gap = float(np.max(np.abs(-2.0 * decomposition.w)))
-    lie_psi = form_norm(decomposition.total)
+    # -2 decomposition.X is Curl X + 2 (X -| T) bit for bit: both scalings
+    # are by powers of 2
+    curl_gap = float(np.max(np.abs(-2.0 * decomposition.X)))
+    lie_psi = form_norm(assemble_4form(decomposition, data))
     residuals = {
         "killing_residual": killing,
         "curl_torsion_residual": curl_gap,

@@ -200,13 +200,13 @@ def find_derivation(
     # of the skew part over x0 + null(P).
     phi = data.phi.dense()
     G = phi[:6, :6, :].reshape(36, DIM).T
+    # P is 72x36, so svd gives all 36 singular values
     _, sv, vt = np.linalg.svd(P)
-    null_mask = np.concatenate([sv, np.zeros(36 - len(sv))]) < 1e-10 * sv[0]
-    N = vt[null_mask].T
+    N = vt[sv < 1e-10 * sv[0]].T
     if N.size:
         z, *_ = np.linalg.lstsq(G @ N, -(G @ x0), rcond=None)
         x0 = x0 + N @ z
-    report["nullity"] = int(N.shape[1]) if N.size else 0
+    report["nullity"] = N.shape[1]
     report["gauge_residual"] = float(np.max(np.abs(G @ x0)))
     return x0.reshape(6, 6), report
 
@@ -321,7 +321,7 @@ def certify(A: np.ndarray, data: G2Data, tol: float = CERT_TOL) -> SolitonReport
 
     classification = classify(c, tol)
     if D is not None or classification == "steady":
-        T = torsion_forms_ungated(A, data).T
+        T = torsion_forms_ungated(A, data)
     if D is not None:
         residuals["pde"] = soliton_pde_check(sym, D, data)
         X = linear_vector_field(-D)

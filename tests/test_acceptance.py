@@ -116,7 +116,7 @@ def test_criterion_03_torsion_dual_route():
         rng = np.random.default_rng((1003, CONVENTIONS.index(data.convention)))
         for _ in range(500):
             A = random_sp(rng, data)
-            T_closed = torsion_forms(A, data).T
+            T_closed = torsion_forms(A, data)
             T_direct, residual = torsion_from_nabla_phi(A, data)
             worst = max(worst, residual, float(np.max(np.abs(T_closed - T_direct))))
     assert worst < 1e-10, worst
@@ -129,7 +129,7 @@ def test_criterion_04_curvature_identities():
         rng = np.random.default_rng((1004, CONVENTIONS.index(data.convention)))
         for _ in range(50):
             A = random_sp(rng, data)
-            T = torsion_forms(A, data).T
+            T = torsion_forms(A, data)
             gamma = koszul_connection(A)
             nabla_T = covariant_derivative_tensor(T, gamma)
             div_T = divergence_tensor(T, gamma)
@@ -163,19 +163,18 @@ def test_criterion_05_closed_forms_vs_chevalley_eilenberg():
         rng = np.random.default_rng((1005, CONVENTIONS.index(data.convention)))
         for _ in range(50):
             A = random_sp(rng, data)
-            pack = torsion_forms(A, data)
+            T = torsion_forms(A, data)
             gamma = koszul_connection(A)
-            curl_T = curl_tensor(pack.T, gamma, data.phi.dense())
-            div_T = divergence_tensor(pack.T, gamma)
-            a, X, s = laplacian_closed_form(pack.T, curl_T, div_T, data)
-            gap = form_norm(
-                assemble_4form(a, X, s, data) - hodge_laplacian(data.psi, A)
-            )
+            curl_T = curl_tensor(T, gamma, data.phi.dense())
+            div_T = divergence_tensor(T, gamma)
+            lap = laplacian_closed_form(T, curl_T, div_T, data)
+            gap = form_norm(assemble_4form(lap, data) - hodge_laplacian(data.psi, A))
             worst_lap = max(worst_lap, gap)
             Xv = rng.standard_normal(7)
             field = invariant_vector_field(Xv, gamma)
-            dec = lie_derivative_psi_decomposition(field, pack.T, data)
-            gap = form_norm(dec.total - lie_derivative_form(Xv, data.psi, A))
+            dec = lie_derivative_psi_decomposition(field, T, data)
+            lie = assemble_4form(dec, data)
+            gap = form_norm(lie - lie_derivative_form(Xv, data.psi, A))
             worst_lie = max(worst_lie, gap)
     assert worst_lap < 1e-10, worst_lap
     assert worst_lie < 1e-10, worst_lie
@@ -266,7 +265,7 @@ def test_criterion_08_skew_sweep():
         report = certify(A, DATA_S4)
         assert report.kind == "algebraic"
         assert report.c <= 1e-10
-        T = torsion_forms(A, DATA_S4).T
+        T = torsion_forms(A, DATA_S4)
         worst = max(worst, abs(report.c + float(np.sum(T * T))))
     assert worst < 1e-12, worst
     print(

@@ -84,14 +84,13 @@ def test_coclosed_iff_sp(convention):
 def test_torsion_block_structure(convention):
     data = canonical_g2(convention)
     A = random_sp(rng, data)
-    pack = torsion_forms(A, data)
-    assert abs(pack.tau0 - 2.0 / 7.0 * np.trace(data.J @ A)) < 1e-13
-    assert abs(np.trace(pack.tau27)) < 1e-12
-    gap = pack.T - (pack.tau0 / 4.0 * np.eye(7) - pack.tau27)
-    assert np.max(np.abs(gap)) < 1e-13
+    T = torsion_forms(A, data)
+    # T = (tau0/4) g - tau27 with tau0 = (2/7) tr JA and tr tau27 = 0
+    assert abs(np.trace(T) - 0.5 * np.trace(data.J @ A)) < 1e-13
+    assert np.max(np.abs(T - T.T)) < 1e-13
     # off-diagonal blocks never appear for invariant coclosed structures
-    assert np.max(np.abs(pack.T[:6, 6])) == 0.0
-    assert np.max(np.abs(pack.T[6, :6])) == 0.0
+    assert np.max(np.abs(T[:6, 6])) == 0.0
+    assert np.max(np.abs(T[6, :6])) == 0.0
 
 
 @pytest.mark.parametrize("convention", CONVENTIONS)
@@ -113,17 +112,17 @@ def test_torsion_dual_route(convention):
                         np.tensordot(dense, gamma[m].T, axes=([slot], [0])), -1, slot
                     )
                 assert np.max(np.abs(stack[m] - ref)) < 1e-14
-        pack = torsion_forms(A, data)
+        T = torsion_forms(A, data)
         T_direct, residual = torsion_from_nabla_phi(A, data)
         assert residual < 1e-12
-        assert np.max(np.abs(pack.T - T_direct)) < 1e-12
+        assert np.max(np.abs(T - T_direct)) < 1e-12
 
 
 @pytest.mark.parametrize("convention", CONVENTIONS)
 def test_t_circ_t_closed_form(convention):
     data = canonical_g2(convention)
     A = random_sp(rng, data)
-    T = torsion_forms(A, data).T
+    T = torsion_forms(A, data)
     assert np.max(np.abs(t_circ_t(A, data) - circ(T, T, data))) < 1e-12
 
 
@@ -229,8 +228,8 @@ def test_ricci_closed_form(convention):
 def test_su3_brackets_are_torsion_free():
     data = canonical_g2("section4")
     A = random_su3(rng, data)
-    pack = torsion_forms(A, data)
-    assert np.max(np.abs(pack.T)) < 1e-13
+    T = torsion_forms(A, data)
+    assert np.max(np.abs(T)) < 1e-13
     assert form_norm(hodge_laplacian(data.psi, A)) < 1e-11
     assert np.max(np.abs(q_matrix(A, data))) < 1e-13
 

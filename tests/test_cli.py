@@ -163,6 +163,21 @@ def test_bracket_file_without_field_a(tmp_path, capsys):
     assert capsys.readouterr().err.count("cannot read bracket file") == 2
 
 
+@pytest.mark.parametrize("shape", [(36,), (4, 9), (3, 12)])
+def test_bracket_file_whose_a_is_not_6x6(shape, tmp_path, capsys):
+    # the 36 entries of a symplectic bracket, in any other shape, are refused
+    A = random_sp(np.random.default_rng(41), canonical_g2("section4"))
+    path = write_bracket(tmp_path / "shaped.json", A.reshape(shape))
+    out = tmp_path / "trace.csv"
+    assert main(["flow", "--bracket", path, "--out", str(out)]) == 2
+    assert main(["soliton", "check", "--bracket", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("cannot read bracket file") == 2
+    assert captured.err.count(f"A has shape {shape}, expected (6, 6)") == 2
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_soliton_unknown_example(capsys):
     assert main(["soliton", "check", "--example", "no-such-fixture"]) == 2
     assert "unknown example 'no-such-fixture'" in capsys.readouterr().err
@@ -579,6 +594,24 @@ def test_phase_malformed_trajectory_exits_two(point, capsys):
         main(["phase", "--trajectory", point])
     assert err.value.code == 2
     assert "expected 'x,y'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [
+        ["--nullclines", "--trajectory", "1,2"],
+        ["--trajectory", "1,2", "--trajectories", "2"],
+        ["--nullclines", "--trajectories", "1"],
+        ["--nullclines", "--trajectories", "0"],
+    ],
+)
+def test_phase_modes_are_mutually_exclusive(modes, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_main(["phase", *modes, "--res", "5"], capsys)
+    assert code == 2
+    assert "not allowed with argument" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_report_write_failure(tmp_path, capsys):

@@ -248,7 +248,7 @@ def test_certify_runs_the_sp_gate_once(monkeypatch):
 
 
 def test_general_conditions_on_fixture():
-    T = torsion_forms(A_FIX, DATA).T
+    T = torsion_forms(A_FIX, DATA)
     gamma = koszul_connection(A_FIX)
     curl_T = curl_tensor(T, gamma, DATA.phi.dense())
     ric, _ = ricci_from_torsion(T, curl_T)
